@@ -8,7 +8,7 @@ a classical matrix-exponential oracle.
 
 __version__ = "0.1.0"
 
-from . import bell, circuit, cli, grid, lifting, measure, operators, oracle, scenarios, trotter
+from . import bell, circuit, grid, lifting, measure, operators, oracle, scenarios, trotter
 from .grid import Boundaries, Component, FieldLayout, FieldState, GridSpec, ScattererBox
 from .lifting import HermitianPair, PRegister
 from .operators import SparseOperator
@@ -26,7 +26,6 @@ __all__ = [
     "SparseOperator",
     "bell",
     "circuit",
-    "cli",
     "grid",
     "lifting",
     "measure",

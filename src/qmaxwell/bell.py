@@ -235,10 +235,10 @@ class BellBlock:
         if self.kind not in (BELL, DIAGONAL):
             raise ValueError(f"unknown block kind {self.kind!r}")
         if self.kind == BELL:
-            assert self.flip_qubits, "flip blocks need at least one flip qubit"
-            assert all(
-                self.a_bits[q] != self.b_bits[q] for q in self.flip_qubits
-            ), "a and b must differ on every flip qubit"
+            if not self.flip_qubits:
+                raise ValueError("flip blocks need at least one flip qubit")
+            if any(self.a_bits[q] == self.b_bits[q] for q in self.flip_qubits):
+                raise ValueError("a and b must differ on every flip qubit")
 
 
 def build_bell_block(pair, dt: float) -> BellBlock:

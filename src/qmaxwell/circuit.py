@@ -200,9 +200,8 @@ def simulate(circuit: Circuit, psi0: StateVector, check_norm: bool = True) -> St
     for g in circuit.gates:
         psi = apply_gate(psi, g)
         if check_norm:
-            assert abs(np.linalg.norm(psi) - ref) <= 1e-10 * max(ref, 1.0), (
-                f"norm drifted after {g.kind} on {g.qubits}"
-            )
+            if abs(np.linalg.norm(psi) - ref) > 1e-10 * max(ref, 1.0):
+                raise QmaxwellError(f"norm drifted after {g.kind} on {g.qubits}")
     return StateVector(psi, circuit.n_qubits)
 
 

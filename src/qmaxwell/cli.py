@@ -14,33 +14,32 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.linalg import expm
 
 from . import __version__
-from .circuit import circuit_to_json, gate_stats
+from .circuit import gate_stats
 from .errors import ConfigError, IndeterminateSignError, QmaxwellError, RecoveryInfeasibleError
-from .grid import Component, FieldLayout, FieldState, component_name, pack_initial_condition, qubit_count
-from .lifting import PRegister, evolve_lifted_exact, hermitian_split, initial_lifted_state, recover_solution
+from .grid import FieldState, component_name, pack_initial_condition, qubit_count
+from .lifting import LiftedExactRunner, PRegister
 from .measure import (
     ProbeRequest,
     apply_offset,
     magnitude_at,
     pipeline_state,
+    remove_offset,
     signed_field_at,
     unit_offset_state,
 )
-from .operators import SparseOperator, apply_weights, assemble_generator, skew_defect, symmetrizing_weights
-from .oracle import exact_evolution, snapshot, trotter_error_table
+from .operators import SparseOperator, assemble_generator, skew_defect, symmetrizing_weights
+from .oracle import OracleRunner, grid_step, snapshot, trotter_error_table
 from .scenarios import SCENARIO_NAMES, build_scenario
-from .trotter import TrotterRunner, emit_trotter_circuit
-
-BACKENDS = ("oracle", "lifted-exact", "circuit")
-
+from .trotter import TrotterRunner, compile_generator, emit_trotter_circuit
 
 @dataclass
 class RunConfig:
@@ -142,12 +141,17 @@ def _snapshot_files(outdir: Path, state: FieldState, time: float) -> list[str]:
 
 
 class _ProbeWriter:
+    """``probes.csv``: one row per probe and probe instant."""
+
     HEADER = "time,component,i,j,k,value,magnitude,sign,shots\n"
 
-    def __init__(self, path: Path):
-        self.path = path
+    def __init__(self, path: Path, probes: list[ProbeRequest]):
+        self.probes = probes
         self.fh = open(path, "w")
         self.fh.write(self.HEADER)
+
+    def close(self):
+        self.fh.close()
 
     def row(self, time, probe: ProbeRequest, value, magnitude, sign, shots):
         self.fh.write(
@@ -155,22 +159,25 @@ class _ProbeWriter:
             f"{_fmt(value)},{_fmt(magnitude)},{sign},{shots}\n"
         )
 
-    def reading(self, time, probe: ProbeRequest, pipe, shots, rng):
-        """One probe row; an indeterminate shot-mode sign gives value=nan, sign=0."""
-        try:
-            r = signed_field_at(probe, pipe, shots, rng)
-            self.row(time, probe, r.value, r.magnitude, r.sign, r.shots_used)
-        except IndeterminateSignError:
-            layout = pipe.layout
-            flat = layout.flat_index(probe.component, probe.i, probe.j, probe.k)
-            est = magnitude_at(
-                pipe.psi, flat, pipe.ancilla_index, pipe.system_dim,
-                pipe.probe_scale(flat), shots, rng,
-            )
-            self.row(time, probe, float("nan"), est.value, 0, est.shots_used)
+    def exact(self, time, state: FieldState):
+        """Rows read directly off a classical field."""
+        for p in self.probes:
+            v = state.at(p.component, p.i, p.j, p.k)
+            self.row(time, p, v, abs(v), 1 if v >= 0 else -1, "exact")
 
-    def close(self):
-        self.fh.close()
+    def signed(self, time, pipe, shots, rng):
+        """Rows measured on a statevector; an indeterminate shot-mode sign gives value=nan, sign=0."""
+        for p in self.probes:
+            try:
+                r = signed_field_at(p, pipe, shots, rng)
+                self.row(time, p, r.value, r.magnitude, r.sign, r.shots_used)
+            except IndeterminateSignError:
+                flat = pipe.layout.flat_index(p.component, p.i, p.j, p.k)
+                est = magnitude_at(
+                    pipe.psi, flat, pipe.ancilla_index, pipe.system_dim,
+                    pipe.probe_scale(flat), shots, rng,
+                )
+                self.row(time, p, float("nan"), est.value, 0, est.shots_used)
 
 
 def _resolve_outdir(config: RunConfig) -> Path:
@@ -183,8 +190,75 @@ def _resolve_outdir(config: RunConfig) -> Path:
     return out
 
 
+def _register(config: RunConfig) -> PRegister:
+    return PRegister(config.n_a, config.p_min, config.p_max)
+
+
+def _weights(config: RunConfig, scenario) -> np.ndarray | None:
+    return symmetrizing_weights(scenario.spec) if config.weighted else None
+
+
+# Each backend returns (step runner, its recovered field at the runner's time, probe reader).
+
+
+def _oracle_backend(config, scenario, a, u0, dt, probes, manifest):
+    runner = OracleRunner(a, u0, dt)
+    return runner, runner.recover, lambda writer: writer.exact(runner.time, runner.recover())
+
+
+def _lifted_exact_backend(config, scenario, a, u0, dt, probes, manifest):
+    runner = LiftedExactRunner(a, u0, _register(config), dt, _weights(config, scenario))
+    manifest["skew_defect_used"] = skew_defect(
+        SparseOperator.from_scipy((runner.pair.h1 + 1j * runner.pair.h2).real)
+    )
+    recover = partial(runner.recover, config.recovery_mode)
+    return runner, recover, lambda writer: writer.exact(runner.time, recover())
+
+
+def _circuit_backend(config, scenario, a, u0, dt, probes, manifest):
+    """Trotter runner; with probes it evolves ``u0 + c * unit offset`` and an oracle evolves the offset."""
+    reference = ProbeRequest(scenario.impulses[0][0], *scenario.center)
+    c = config.offset_c
+    sim_u0 = apply_offset(u0, reference.component, c) if probes else u0
+    runner = TrotterRunner.from_generator(
+        a, sim_u0, _register(config), dt, u0.layout, check_norm=False,
+        weights=_weights(config, scenario),
+    )
+    manifest["blocks_per_step"] = {
+        "skew_part": len(runner.h2_blocks),
+        "symmetric_part": len(runner.h1_blocks),
+    }
+    manifest["gate_stats_per_step"] = gate_stats(runner.step_circuit)
+    recover = partial(runner.recover, config.recovery_mode)
+    if not probes:
+        return runner, recover, None
+    response = OracleRunner(a, unit_offset_state(u0.layout, reference.component), dt)
+    rng = np.random.default_rng(config.seed)
+
+    def offset_response() -> FieldState:
+        response.advance(runner.steps_done - response.steps_done)
+        return response.recover()
+
+    def read(writer):
+        pipe = pipeline_state(runner, c, offset_response(), reference)
+        writer.signed(runner.time, pipe, config.shots, rng)
+
+    return runner, lambda: remove_offset(recover(), c, offset_response()), read
+
+
+BACKENDS = {
+    "oracle": _oracle_backend,
+    "lifted-exact": _lifted_exact_backend,
+    "circuit": _circuit_backend,
+}
+
+
 def execute_run(config: RunConfig) -> dict:
-    """Run one scenario and write its artifacts; returns the manifest."""
+    """Run one scenario and write its artifacts; returns the manifest.
+
+    One loop drives every backend's step runner to each step with a snapshot
+    or probe row, writes snapshots from the recovered field and reads probes.
+    """
     scenario = build_scenario(config.scenario, config.nx, config.ny, config.nz)
     spec = scenario.spec
     dt = config.dt if config.dt is not None else scenario.dt
@@ -194,16 +268,13 @@ def execute_run(config: RunConfig) -> dict:
         if config.snapshot_times is not None
         else scenario.snapshot_times
     )
-    snap_times = tuple(t for t in snap_times if t <= steps * dt + 1e-9)
+    snap_steps = {grid_step(t, dt) for t in snap_times if t <= steps * dt + 1e-9}
     probes = _parse_probes(config.probes)
+    probe_steps = set(range(0, steps + 1, config.probe_every)) if probes else set()
     outdir = _resolve_outdir(config)
-    rng = np.random.default_rng(config.seed)
 
     a = assemble_generator(spec)
-    layout = FieldLayout(spec)
     u0 = pack_initial_condition(spec, list(scenario.impulses))
-    weights = symmetrizing_weights(spec) if config.weighted else None
-    reg = PRegister(config.n_a, config.p_min, config.p_max)
 
     manifest = {
         "scenario": scenario.name,
@@ -222,104 +293,19 @@ def execute_run(config: RunConfig) -> dict:
         "skew_defect": skew_defect(a),
         "artifacts": [],
     }
+    runner, recover, read_probes = BACKENDS[config.backend](
+        config, scenario, a, u0, dt, probes, manifest
+    )
 
-    writer = _ProbeWriter(outdir / "probes.csv") if probes else None
     snapshots_written = []
-
-    if config.backend == "oracle":
-        for t in snap_times:
-            state = exact_evolution(a, u0, t)
-            snapshots_written += _snapshot_files(outdir, state, t)
-        if writer:
-            for s in range(0, steps + 1, config.probe_every):
-                state = exact_evolution(a, u0, s * dt)
-                for p in probes:
-                    v = state.at(p.component, p.i, p.j, p.k)
-                    writer.row(s * dt, p, v, abs(v), 1 if v >= 0 else -1, "exact")
-    elif config.backend == "lifted-exact":
-        pair = hermitian_split(a if weights is None else apply_weights(a, weights))
-        u_vec = u0.values if weights is None else weights * u0.values
-        lift = initial_lifted_state(u_vec, reg)
-        manifest["skew_defect_used"] = skew_defect(
-            SparseOperator.from_scipy((pair.h1 + 1j * pair.h2).real)
-        )
-        for t in snap_times:
-            v = evolve_lifted_exact(pair, reg, lift.values, t)
-            rec = recover_solution(v, reg, pair, t, norm=lift.norm, mode=config.recovery_mode)
-            if weights is not None:
-                rec = rec / weights
-            state = FieldState(values=rec, layout=layout, time=t)
-            snapshots_written += _snapshot_files(outdir, state, t)
-        if writer:
-            for s in range(0, steps + 1, config.probe_every):
-                t = s * dt
-                v = evolve_lifted_exact(pair, reg, lift.values, t)
-                rec = recover_solution(v, reg, pair, t, norm=lift.norm, mode=config.recovery_mode)
-                if weights is not None:
-                    rec = rec / weights
-                state = FieldState(values=rec, layout=layout, time=t)
-                for p in probes:
-                    val = state.at(p.component, p.i, p.j, p.k)
-                    writer.row(t, p, val, abs(val), 1 if val >= 0 else -1, "exact")
-    else:  # circuit
-        reference = ProbeRequest(
-            scenario.impulses[0][0], *scenario.center
-        )
-        sim_u0 = u0
-        if probes:
-            sim_u0 = apply_offset(u0, reference.component, config.offset_c)
-        runner = TrotterRunner.from_generator(
-            a, sim_u0, reg, dt, layout, check_norm=False, weights=weights
-        )
-        manifest["blocks_per_step"] = {
-            "skew_part": len(runner.h2_blocks),
-            "symmetric_part": len(runner.h1_blocks),
-        }
-        step_stats = gate_stats(runner.step_circuit)
-        manifest["gate_stats_per_step"] = step_stats
-        response0 = unit_offset_state(layout, reference.component)
-        response_static = not a.matvec(response0.values).any()
-        stepper = None
-        response = response0
-        snap_set = {round(t / dt) for t in snap_times}
-        if 0 in snap_set:
-            snapshots_written += _snapshot_files(outdir, runner.recover(), 0.0)
-        if writer and probes:
-            pipe = pipeline_state(runner, config.offset_c, response0, reference)
-            for p in probes:
-                writer.reading(0.0, p, pipe, config.shots, rng)
-        for s in range(1, steps + 1):
-            runner.advance(1)
-            t = runner.time
-            need_probe = writer and (s % config.probe_every == 0)
-            need_snap = s in snap_set
-            if not (need_probe or need_snap):
-                continue
-            if not response_static:
-                if stepper is None:
-                    if layout.state_len > 4096:
-                        raise ConfigError(
-                            "offset response stepping needs a dense propagator; "
-                            "grid too large"
-                        )
-                    stepper = expm(a.tocsr().toarray() * dt)
-                    response_values = response0.values.copy()
-                    response_step = 0
-                while response_step < s:
-                    response_values = stepper @ response_values
-                    response_step += 1
-                response = FieldState(values=response_values, layout=layout, time=t)
-            else:
-                response = FieldState(values=response0.values, layout=layout, time=t)
-            if need_snap:
-                snapshots_written += _snapshot_files(outdir, runner.recover(), t)
-            if need_probe:
-                pipe = pipeline_state(runner, config.offset_c, response, reference)
-                for p in probes:
-                    writer.reading(t, p, pipe, config.shots, rng)
-
-    if writer:
-        writer.close()
+    with closing(_ProbeWriter(outdir / "probes.csv", probes)) if probes else nullcontext() as writer:
+        for s in sorted(snap_steps | probe_steps):
+            runner.advance(s - runner.steps_done)
+            if s in snap_steps:
+                snapshots_written += _snapshot_files(outdir, recover(), runner.time)
+            if s in probe_steps:
+                read_probes(writer)
+    if probes:
         manifest["artifacts"].append("probes.csv")
     manifest["artifacts"].extend(sorted(set(snapshots_written)))
     (outdir / "manifest.json").write_text(
@@ -329,63 +315,31 @@ def execute_run(config: RunConfig) -> dict:
 
 
 def execute_table(config: RunConfig, dts, times) -> Path:
+    """Splitting-error table against the exact flow, in the original (unweighted) variables."""
     scenario = build_scenario(config.scenario, config.nx, config.ny, config.nz)
-    spec = scenario.spec
-    a = assemble_generator(spec)
-    u0 = pack_initial_condition(spec, list(scenario.impulses))
-    weights = symmetrizing_weights(spec) if config.weighted else None
-    reg = PRegister(config.n_a, config.p_min, config.p_max)
-    outdir = _resolve_outdir(config)
-
-    # Error rows against the exact flow, in the original (unweighted) variables.
-    from .oracle import ErrorRow, ErrorTable, component_errors
-
-    layout = FieldLayout(spec)
-    rows = []
-    for dt in dts:
-        runner = TrotterRunner.from_generator(
-            a, u0, reg, dt, layout, check_norm=False, weights=weights
-        )
-        for t_target in sorted(times):
-            steps = round(t_target / dt)
-            if abs(steps * dt - t_target) > 1e-9:
-                raise ConfigError(f"time {t_target} is not a multiple of dt={dt}")
-            runner.advance(steps - runner.steps_done)
-            rows.append(
-                ErrorRow(
-                    time=t_target,
-                    dt=dt,
-                    errors=component_errors(runner.recover(), exact_evolution(a, u0, t_target)),
-                )
-            )
-    table = ErrorTable(components=layout.components, rows=tuple(rows))
-    table.check_monotone()
-    path = outdir / "error_table.csv"
+    table = trotter_error_table(
+        assemble_generator(scenario.spec),
+        pack_initial_condition(scenario.spec, list(scenario.impulses)),
+        dts,
+        times,
+        _register(config),
+        recovery_mode=config.recovery_mode,
+        weights=_weights(config, scenario),
+    )
+    path = _resolve_outdir(config) / "error_table.csv"
     table.to_csv(path)
     return path
 
 
 def execute_stats(config: RunConfig) -> dict:
     scenario = build_scenario(config.scenario, config.nx, config.ny, config.nz)
-    spec = scenario.spec
     dt = config.dt if config.dt is not None else scenario.dt
     steps = config.steps if config.steps is not None else scenario.steps
-    a = assemble_generator(spec)
-    weights = symmetrizing_weights(spec) if config.weighted else None
-    if weights is not None:
-        a = apply_weights(a, weights)
-    pair = hermitian_split(a)
-    from .bell import compile_blocks
-    from .trotter import order_blocks
-
-    reg = PRegister(config.n_a, config.p_min, config.p_max)
+    _, h1_blocks, h2_blocks = compile_generator(
+        assemble_generator(scenario.spec), dt, _weights(config, scenario)
+    )
     c = emit_trotter_circuit(
-        order_blocks(compile_blocks(pair.h1, dt)),
-        order_blocks(compile_blocks(pair.h2, dt)),
-        reg,
-        dt,
-        steps,
-        metadata={"scenario": scenario.name},
+        h1_blocks, h2_blocks, _register(config), dt, steps, metadata={"scenario": scenario.name}
     )
     stats = gate_stats(c)
     stats["steps"] = steps

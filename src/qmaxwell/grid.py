@@ -334,15 +334,12 @@ class FieldState:
         return float(self.values[self.layout.flat_index(component, i, j, k)])
 
 
-def flat_index(layout: FieldLayout, component: Component, i: int, j: int, k: int = 0) -> int:
-    return layout.flat_index(component, i, j, k)
-
-
 def qubit_count(spec: GridSpec) -> int:
     """Register width needed for the padded state (exact by the power-of-two invariants)."""
     length = FieldLayout(spec).state_len
     n = int(math.log2(length))
-    assert 1 << n == length
+    if 1 << n != length:
+        raise GridError(f"padded state length {length} is not a power of two")
     return n
 
 

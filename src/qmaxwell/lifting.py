@@ -19,14 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from .errors import RecoveryInfeasibleError
+from .errors import HermiticityError, RecoveryInfeasibleError
 from .grid import FieldLayout, FieldState
-from .operators import SparseOperator
-
-_DENSE_BRANCH_LIMIT = 600
+from .operators import SparseOperator, apply_weights
 
 
 @dataclass(frozen=True)
@@ -69,9 +66,12 @@ def hermitian_split(a) -> HermitianPair:
             h.data[np.abs(h.data) <= floor] = 0.0
             h.eliminate_zeros()
     scale = max(sp.linalg.norm(m), 1.0)
-    assert sp.linalg.norm(h1 + 1j * h2 - m) <= 1e-14 * scale
-    assert sp.linalg.norm(h1 - h1.conj().T) <= 1e-14 * scale
-    assert sp.linalg.norm(h2 - h2.conj().T) <= 1e-14 * scale
+    if sp.linalg.norm(h1 + 1j * h2 - m) > 1e-14 * scale:
+        raise HermiticityError("h1 + i*h2 does not reconstruct the generator")
+    if sp.linalg.norm(h1 - h1.conj().T) > 1e-14 * scale:
+        raise HermiticityError("h1 is not Hermitian")
+    if sp.linalg.norm(h2 - h2.conj().T) > 1e-14 * scale:
+        raise HermiticityError("h2 is not Hermitian")
     return HermitianPair(h1=h1, h2=h2)
 
 
@@ -124,14 +124,17 @@ class LiftedState:
     reg: PRegister
 
 
-def initial_lifted_state(u0, reg: PRegister) -> LiftedState:
+def initial_lifted_state(u0, reg: PRegister, weights: np.ndarray | None = None) -> LiftedState:
     """Lift an initial field into the joint register.
 
     Slice ``k`` holds ``e^{-|p_k|} u0`` (the even extension of the decay
     profile); the auxiliary index is the slow/outer one.  The joint vector is
     normalized and its physical norm recorded for rescaling at recovery.
+    With ``weights`` the lifted field is the scaled ``weights * u0``.
     """
     u = u0.values if isinstance(u0, FieldState) else np.asarray(u0)
+    if weights is not None:
+        u = weights * u
     nrm_u = np.linalg.norm(u)
     if nrm_u == 0:
         raise ValueError("cannot lift a zero-norm initial state")
@@ -145,8 +148,8 @@ def evolve_lifted_exact(pair: HermitianPair, reg: PRegister, v0: np.ndarray, t: 
     """Circuit-free reference evolution of the lifted state.
 
     Transforms along the auxiliary axis, propagates each frequency branch by
-    the exponential of its Hermitian generator, and transforms back.  Norm is
-    preserved exactly (each branch is unitary).
+    the Krylov action of its Hermitian generator's exponential, and
+    transforms back.  Norm is preserved to rounding (each branch is unitary).
     """
     v0 = np.asarray(v0, dtype=complex)
     d = pair.dim
@@ -157,12 +160,37 @@ def evolve_lifted_exact(pair: HermitianPair, reg: PRegister, v0: np.ndarray, t: 
     branches = np.fft.ifft(v0.reshape(reg.n_points, d), axis=0)
     for k, xi in enumerate(reg.xi_values):
         gen = lifted_hamiltonian(pair, float(xi))
-        if d <= _DENSE_BRANCH_LIMIT:
-            u = expm(1j * t * gen.toarray())
-            branches[k] = u @ branches[k]
-        else:
-            branches[k] = expm_multiply(1j * t * gen.tocsc(), branches[k])
+        branches[k] = expm_multiply(1j * t * gen.tocsc(), branches[k])
     return np.fft.fft(branches, axis=0).reshape(-1)
+
+
+class LiftedExactRunner:
+    """Step runner on the lifted state without a circuit: ``evolve_lifted_exact`` by ``steps * dt``.
+
+    ``weights`` runs the lift in the similarity-scaled variables of
+    ``TrotterRunner.from_generator``; recovery maps back either way.
+    """
+
+    def __init__(self, a, u0: FieldState, reg: PRegister, dt: float, weights: np.ndarray | None = None):
+        self.pair = hermitian_split(a if weights is None else apply_weights(a, weights))
+        lifted = initial_lifted_state(u0, reg, weights)
+        self.values, self.norm = lifted.values, lifted.norm
+        self.reg, self.dt, self.layout, self.weights = reg, dt, u0.layout, weights
+        self.steps_done = 0
+
+    @property
+    def time(self) -> float:
+        return self.steps_done * self.dt
+
+    def advance(self, steps: int) -> None:
+        if steps:
+            self.values = evolve_lifted_exact(self.pair, self.reg, self.values, steps * self.dt)
+        self.steps_done += steps
+
+    def recover(self, mode: str = "single"):
+        return recover_solution(
+            self.values, self.reg, self.pair, self.time, self.norm, self.layout, mode, self.weights
+        )
 
 
 def lambda_max_estimate(h1, iterations: int = 30, tol: float = 1e-8) -> float:
@@ -214,6 +242,7 @@ def recover_solution(
     norm: float = 1.0,
     layout: FieldLayout | None = None,
     mode: str = "single",
+    weights: np.ndarray | None = None,
 ):
     """Read the physical solution back from the lifted state.
 
@@ -221,9 +250,9 @@ def recover_solution(
     ``e^{p*}``; it must lie above the spectral bound or recovery is refused.
     ``mode="lsq"`` solves the least-squares fit over every point above the
     bound instead.  ``norm`` restores the physical scale of a normalized
-    simulation state.  Returns a :class:`FieldState` when ``layout`` is given
-    (imaginary residue, pure p-discretization noise, is dropped), else the
-    real vector.
+    simulation state, and ``weights`` undoes a similarity scaling.  Returns
+    a :class:`FieldState` when ``layout`` is given (imaginary residue, pure
+    p-discretization noise, is dropped), else the real vector.
     """
     v = np.asarray(v, dtype=complex).reshape(reg.n_points, -1)
     bound = recovery_bound(pair, t)
@@ -243,6 +272,8 @@ def recover_solution(
     else:
         raise ValueError(f"unknown recovery mode {mode!r}")
     u = u.real
+    if weights is not None:
+        u = u / weights
     if layout is not None:
         return FieldState(values=u, layout=layout, time=t)
     return u

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndeterminateSignError, RecoveryInfeasibleError
+from .errors import IndeterminateSignError, QmaxwellError, RecoveryInfeasibleError
 from .grid import Component, FieldLayout, FieldState
 from .lifting import PRegister, recovery_bound
 
 EXACT = "exact"
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -31,14 +32,6 @@ class ProbeRequest:
     j: int
     k: int = 0
 
-    def same_point(self, other: "ProbeRequest") -> bool:
-        return (self.component, self.i, self.j, self.k) == (
-            other.component,
-            other.i,
-            other.j,
-            other.k,
-        )
-
 
 @dataclass(frozen=True)
 class MagnitudeEstimate:
@@ -47,7 +40,8 @@ class MagnitudeEstimate:
     shots_used: int | str
 
     def __post_init__(self):
-        assert self.value >= 0
+        if not self.value >= 0:
+            raise QmaxwellError(f"magnitude estimate {self.value} is negative")
 
 
 @dataclass(frozen=True)
@@ -58,7 +52,8 @@ class SignedReading:
     shots_used: int | str
 
     def __post_init__(self):
-        assert self.magnitude >= 0
+        if not self.magnitude >= 0:
+            raise QmaxwellError(f"reading magnitude {self.magnitude} is negative")
 
 
 def offset_bound(u0: FieldState) -> float:
@@ -82,15 +77,8 @@ def apply_offset(u0: FieldState, component: Component, c: float) -> FieldState:
             f"bound {bound}; the shifted component may touch zero",
             stacklevel=2,
         )
-    layout = u0.layout
-    values = u0.values.copy()
-    spec = layout.spec
-    for k in range(spec.nz):
-        for j in range(spec.ny):
-            for i in range(spec.nx):
-                if layout.is_active(component, i, j, k):
-                    values[layout.flat_index(component, i, j, k)] += c
-    return FieldState(values=values, layout=layout, time=u0.time)
+    values = u0.values + c * unit_offset_state(u0.layout, component).values
+    return FieldState(values=values, layout=u0.layout, time=u0.time)
 
 
 def unit_offset_state(layout: FieldLayout, component: Component) -> FieldState:
@@ -221,7 +209,6 @@ class PipelineState:
     reg: PRegister
     scale: float
     time: float
-    offset_component: Component
     offset_c: float
     offset_response: FieldState
     reference: ProbeRequest
@@ -247,7 +234,6 @@ def pipeline_state(
     offset_c: float,
     offset_response: FieldState,
     reference: ProbeRequest,
-    offset_component: Component = Component.EZ,
 ) -> PipelineState:
     """Measurement context from a step runner at its current time."""
     bound = recovery_bound(runner.pair, runner.time)
@@ -263,7 +249,6 @@ def pipeline_state(
         reg=runner.reg,
         scale=math.exp(p_star) * runner.norm,
         time=runner.time,
-        offset_component=offset_component,
         offset_c=offset_c,
         offset_response=offset_response,
         reference=reference,
@@ -280,8 +265,9 @@ def signed_field_at(
     """Full probe readout: magnitude, chained sign, and offset removal.
 
     The reference component's sign is absolute (+1) by the offset guarantee;
-    the target sign is taken relative to it.  An exactly vanishing target
-    amplitude reads as zero.
+    the target sign is taken relative to it.  In exact mode a target
+    amplitude at or below rounding of the reference amplitude (``eps`` times
+    its modulus, exact zero included) reads as zero: its phase is noise.
     """
     layout = pipe.layout
     flat_t = layout.flat_index(request.component, request.i, request.j, request.k)
@@ -298,10 +284,10 @@ def signed_field_at(
         rng,
     )
     base = pipe.ancilla_index * pipe.system_dim
-    if request.same_point(pipe.reference):
+    if request == pipe.reference:
         sign = 1
-    elif shots is None and pipe.psi[base + flat_t] == 0.0:
-        sign = 1  # exact zero: sign is immaterial
+    elif shots is None and abs(pipe.psi[base + flat_t]) <= _EPS * abs(pipe.psi[base + flat_r]):
+        sign = 1  # zero to rounding: sign is immaterial
     else:
         sign = relative_sign(pipe.psi, base + flat_r, base + flat_t, shots, rng)
     raw = sign * est.value

@@ -89,12 +89,6 @@ class SparseOperator:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.tocsr() @ x
 
-    def transpose(self) -> "SparseOperator":
-        return SparseOperator.from_scipy(self.tocsr().T)
-
-    def frobenius(self) -> float:
-        return float(np.sqrt(np.sum(self.vals**2)))
-
     def dump_triplets(self, path) -> None:
         """Write one ``row col value`` line per entry for external inspection."""
         with open(path, "w") as fh:

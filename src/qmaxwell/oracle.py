@@ -16,7 +16,8 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from .grid import Component, FieldLayout, FieldState, GridSpec
+from .errors import ConfigError
+from .grid import Component, FieldState
 from .lifting import PRegister
 from .operators import SparseOperator
 from .trotter import TrotterRunner
@@ -43,6 +44,38 @@ def exact_evolution(a, u0, t: float):
     if isinstance(u0, FieldState):
         return FieldState(values=out, layout=u0.layout, time=u0.time + t)
     return out
+
+
+class OracleRunner:
+    """The exact flow as a step runner: ``advance`` maps the current state by exp(A steps dt).
+
+    A state that ``A`` annihilates is a fixed point (exp(At) v = v), so
+    advancing it costs one sparse product and no exponential.
+    """
+
+    def __init__(self, a, u0: FieldState, dt: float):
+        self.m = a.tocsr() if isinstance(a, SparseOperator) else sp.csr_matrix(a)
+        self.state, self.dt, self.steps_done = u0, dt, 0
+
+    @property
+    def time(self) -> float:
+        return self.steps_done * self.dt
+
+    def advance(self, steps: int) -> None:
+        if steps and (self.m @ self.state.values).any():
+            self.state = exact_evolution(self.m, self.state, steps * self.dt)
+        self.steps_done += steps
+
+    def recover(self) -> FieldState:
+        return FieldState(values=self.state.values, layout=self.state.layout, time=self.time)
+
+
+def grid_step(t: float, dt: float) -> int:
+    """Number of steps of size ``dt`` that reach ``t``; ConfigError off that grid."""
+    steps = round(t / dt)
+    if steps < 0 or abs(steps * dt - t) > 1e-9:
+        raise ConfigError(f"time {t} is not a nonnegative multiple of dt={dt}")
+    return steps
 
 
 def rk4_evolution(a, u0, t: float, dt: float = 1e-4):
@@ -130,22 +163,21 @@ def trotter_error_table(
     reg: PRegister,
     recovery_mode: str = "single",
     check_norm: bool = False,
+    weights: np.ndarray | None = None,
 ) -> ErrorTable:
     """Run the circuit pipeline over (dt, T) pairs and tabulate recovery errors.
 
-    Horizons must be multiples of each step size.  One runner per dt walks
-    the requested horizons in order.
+    Horizons must be multiples of each step size (ConfigError otherwise).
+    One runner per dt walks the requested horizons in order; ``weights``
+    runs it in similarity-scaled variables (see ``TrotterRunner``).
     """
     layout = u0.layout
     times = sorted(times)
     rows = []
     for dt in dts:
-        runner = TrotterRunner.from_generator(a, u0, reg, dt, layout, check_norm)
+        runner = TrotterRunner.from_generator(a, u0, reg, dt, layout, check_norm, weights)
         for t_target in times:
-            steps = round(t_target / dt)
-            if abs(steps * dt - t_target) > 1e-9:
-                raise ValueError(f"horizon {t_target} is not a multiple of dt={dt}")
-            runner.advance(steps - runner.steps_done)
+            runner.advance(grid_step(t_target, dt) - runner.steps_done)
             recovered = runner.recover(mode=recovery_mode)
             reference = exact_evolution(a, u0, t_target)
             rows.append(

@@ -42,7 +42,6 @@ from .circuit import (
 from .grid import FieldLayout, FieldState
 from .lifting import (
     HermitianPair,
-    LiftedState,
     PRegister,
     hermitian_split,
     initial_lifted_state,
@@ -62,6 +61,21 @@ def order_blocks(blocks: list[BellBlock], seed: int | None = BLOCK_ORDER_SEED) -
     if seed is not None:
         np.random.default_rng(seed).shuffle(out)
     return out
+
+
+def compile_generator(
+    a, dt: float, weights: np.ndarray | None = None, order_seed: int | None = BLOCK_ORDER_SEED
+) -> tuple[HermitianPair, list[BellBlock], list[BellBlock]]:
+    """Hermitian split of ``A`` (or of ``D A D^-1`` with ``D = diag(weights)``) and its ordered blocks.
+
+    Returns the pair and the ``h1`` and ``h2`` block lists of one step.
+    """
+    pair = hermitian_split(a if weights is None else apply_weights(a, weights))
+    return (
+        pair,
+        order_blocks(compile_blocks(pair.h1, dt), order_seed),
+        order_blocks(compile_blocks(pair.h2, dt), order_seed),
+    )
 
 
 def _o_transform_gates(block: BellBlock) -> list[Gate]:
@@ -315,14 +329,8 @@ class TrotterRunner:
         """
         if isinstance(u0, FieldState) and layout is None:
             layout = u0.layout
-        u_vec = u0.values if isinstance(u0, FieldState) else np.asarray(u0)
-        if weights is not None:
-            a = apply_weights(a, weights)
-            u_vec = weights * u_vec
-        pair = hermitian_split(a)
-        h1_blocks = order_blocks(compile_blocks(pair.h1, dt), order_seed)
-        h2_blocks = order_blocks(compile_blocks(pair.h2, dt), order_seed)
-        lifted = initial_lifted_state(u_vec, reg)
+        pair, h1_blocks, h2_blocks = compile_generator(a, dt, weights, order_seed)
+        lifted = initial_lifted_state(u0, reg, weights)
         n_sys = int(math.log2(pair.dim))
         step = Circuit(
             n_sys + reg.n_a,
@@ -354,16 +362,6 @@ class TrotterRunner:
 
     def recover(self, mode: str = "single"):
         """Physical field at the current time (FieldState when a layout is known)."""
-        rec = recover_solution(
-            self.psi.values,
-            self.reg,
-            self.pair,
-            self.time,
-            norm=self.norm,
-            mode=mode,
+        return recover_solution(
+            self.psi.values, self.reg, self.pair, self.time, self.norm, self.layout, mode, self.weights
         )
-        if self.weights is not None:
-            rec = rec / self.weights
-        if self.layout is not None:
-            return FieldState(values=rec, layout=self.layout, time=self.time)
-        return rec

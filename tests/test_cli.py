@@ -1,4 +1,7 @@
+import csv
+import gc
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,17 @@ from qmaxwell.cli import (
     main,
 )
 from qmaxwell.errors import ConfigError
+from qmaxwell.grid import Component, pack_initial_condition
+from qmaxwell.lifting import (
+    PRegister,
+    evolve_lifted_exact,
+    hermitian_split,
+    initial_lifted_state,
+    recover_solution,
+)
+from qmaxwell.operators import apply_weights, assemble_generator, symmetrizing_weights
+from qmaxwell.oracle import exact_evolution, snapshot, trotter_error_table
+from qmaxwell.scenarios import build_scenario
 
 
 def small_run_config(tmp_path, **kw):
@@ -123,6 +137,82 @@ class TestRun:
         assert report["probes"]["linf"] < 0.1  # splitting error scale
 
 
+    def test_oracle_probe_rows_match_exact_flow(self, tmp_path):
+        config = small_run_config(
+            tmp_path, scenario="2d-scatterer", nx=8, ny=8, backend="oracle", steps=12,
+            probes=["Ez:1:1", "Hx:0:1", "Hy:1:0", "Ez:7:6"], snapshot_times=[],
+        )
+        execute_run(config)
+        scenario = build_scenario("2d-scatterer", 8, 8)
+        a = assemble_generator(scenario.spec)
+        u0 = pack_initial_condition(scenario.spec, list(scenario.impulses))
+        rows = list(csv.DictReader((Path(config.outdir) / "probes.csv").open()))
+        assert len(rows) == 4 * 13
+        for r in rows:
+            step = round(float(r["time"]) / 0.1)
+            exact = exact_evolution(a, u0, step * 0.1)
+            want = exact.at(Component(r["component"]), int(r["i"]), int(r["j"]))
+            assert abs(float(r["value"]) - want) <= 1e-12
+
+    def test_circuit_probes_match_snapshots(self, tmp_path):
+        # With probes the circuit evolves u0 + c * offset; snapshots must not carry the offset.
+        probes = ["Ez:4:4", "Ez:3:2", "Hx:3:5", "Hy:6:2", "Ez:1:13"]
+        config = small_run_config(
+            tmp_path, scenario="2d-scatterer", nx=None, ny=None, steps=30,
+            probes=probes, snapshot_times=[0.0, 1.0, 3.0],
+        )
+        execute_run(config)
+        out = Path(config.outdir)
+        rows = list(csv.DictReader((out / "probes.csv").open()))
+        checked = 0
+        for t in (0, 1, 3):
+            for r in rows:
+                if abs(float(r["time"]) - t) > 1e-9:
+                    continue
+                grid = np.loadtxt(out / f"{r['component']}_T{t:g}.csv", delimiter=",")
+                assert abs(float(r["value"]) - grid[int(r["j"]), int(r["i"])]) <= 1e-12
+                checked += 1
+        assert checked == 3 * len(probes)
+
+    def test_lifted_exact_snapshot_matches_direct_evolution(self, tmp_path):
+        config = small_run_config(
+            tmp_path, scenario="2d-scatterer", nx=8, ny=8, backend="lifted-exact",
+            steps=20, probes=[], snapshot_times=[2.0],
+        )
+        execute_run(config)
+        scenario = build_scenario("2d-scatterer", 8, 8)
+        w = symmetrizing_weights(scenario.spec)
+        pair = hermitian_split(apply_weights(assemble_generator(scenario.spec), w))
+        reg = PRegister(1)
+        u0 = pack_initial_condition(scenario.spec, list(scenario.impulses))
+        lift = initial_lifted_state(u0, reg, w)
+        v = evolve_lifted_exact(pair, reg, lift.values, 2.0)
+        direct = recover_solution(v, reg, pair, 2.0, lift.norm, u0.layout, weights=w)
+        for comp in u0.layout.components:
+            got = np.loadtxt(Path(config.outdir) / f"{comp.value}_T2.csv", delimiter=",")
+            assert np.max(np.abs(got - snapshot(direct, comp))) <= 1e-12
+
+    def test_sub_roundoff_amplitude_reads_zero(self, tmp_path):
+        # Step 1 leaves Hx(2, 5) at about 1e-35 of the reference amplitude.
+        rc = main([
+            "run", "--scenario", "2d-scatterer", "--steps", "2", "--backend", "circuit",
+            "--probes", "Hx:2:5", "--outdir", str(tmp_path / "r"),
+        ])
+        assert rc == 0
+        rows = list(csv.DictReader((tmp_path / "r" / "probes.csv").open()))
+        step1 = [r for r in rows if abs(float(r["time"]) - 0.1) < 1e-9]
+        assert len(step1) == 1 and abs(float(step1[0]["value"])) <= 1e-12
+
+    @pytest.mark.parametrize("backend", ["oracle", "lifted-exact", "circuit"])
+    def test_off_grid_snapshot_exit_two(self, tmp_path, backend):
+        rc = main([
+            "run", "--scenario", "2d-empty", "--nx", "4", "--ny", "4", "--dt", "0.1",
+            "--steps", "5", "--backend", backend, "--snapshot-times", "0.25",
+            "--outdir", str(tmp_path / "r"),
+        ])
+        assert rc == 2
+
+
 class TestCompare:
     def test_identical_runs_zero_diff(self, tmp_path):
         c1 = small_run_config(tmp_path, outdir=str(tmp_path / "a"))
@@ -157,6 +247,30 @@ class TestTableAndStats:
         e_small = float(rows[3]["Ez"])
         assert 1.3 < e_big / e_small < 2.7
 
+    def test_table_honours_recovery_mode(self, tmp_path):
+        kw = dict(probes=[], n_a=3, p_min=-4.0, p_max=4.0)
+        single = small_run_config(tmp_path, outdir=str(tmp_path / "s"), **kw)
+        lsq = small_run_config(tmp_path, outdir=str(tmp_path / "l"), recovery_mode="lsq", **kw)
+        path_s = execute_table(single, dts=[0.1], times=[0.5])
+        path_l = execute_table(lsq, dts=[0.1], times=[0.5])
+        scenario = build_scenario("2d-empty", 4, 4)
+        table = trotter_error_table(
+            assemble_generator(scenario.spec),
+            pack_initial_condition(scenario.spec, list(scenario.impulses)),
+            [0.1], [0.5], PRegister(3, -4.0, 4.0), recovery_mode="lsq",
+            weights=symmetrizing_weights(scenario.spec),
+        )
+        table.to_csv(tmp_path / "lib.csv")
+        assert Path(path_l).read_bytes() == (tmp_path / "lib.csv").read_bytes()
+        assert Path(path_l).read_bytes() != Path(path_s).read_bytes()
+
+    def test_table_off_grid_horizon_exit_two(self, tmp_path):
+        rc = main([
+            "table", "--scenario", "2d-empty", "--nx", "4", "--dts", "0.3",
+            "--times", "1.0", "--outdir", str(tmp_path / "t"),
+        ])
+        assert rc == 2
+
     def test_stats_json(self, tmp_path):
         config = small_run_config(tmp_path, probes=[], steps=2)
         stats = execute_stats(config)
@@ -184,11 +298,16 @@ class TestMain:
 
     def test_infeasible_recovery_exit_three(self, tmp_path, capsys):
         # Unweighted scatterer-free run with a window below the spectral bound.
-        rc = main([
-            "run", "--scenario", "2d-scatterer", "--nx", "8", "--ny", "8",
-            "--dt", "0.1", "--steps", "12", "--unweighted",
-            "--p-min", "-0.2", "--p-max", "0.2",
-            "--probes", "Ez:2:2",
-            "--outdir", str(tmp_path / "r"),
-        ])
+        # The failed run must still close probes.csv.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            rc = main([
+                "run", "--scenario", "2d-scatterer", "--nx", "8", "--ny", "8",
+                "--dt", "0.1", "--steps", "12", "--unweighted",
+                "--p-min", "-0.2", "--p-max", "0.2",
+                "--probes", "Ez:2:2",
+                "--outdir", str(tmp_path / "r"),
+            ])
+            gc.collect()
         assert rc == 3
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

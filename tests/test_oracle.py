@@ -7,8 +7,10 @@ from qmaxwell.operators import assemble_generator_2d, symmetrizing_weights
 from qmaxwell.oracle import (
     ErrorRow,
     ErrorTable,
+    OracleRunner,
     component_errors,
     exact_evolution,
+    grid_step,
     krylov_evolution,
     normalized_cross_correlation,
     rk4_evolution,
@@ -170,3 +172,39 @@ class TestComponentErrors:
         u0 = impulse(spec, 2, 2)
         errs = component_errors(u0, u0)
         assert all(v == 0.0 for v in errs.values())
+
+
+class TestOracleRunner:
+    def test_stepping_matches_direct_flow(self):
+        spec = GridSpec(nx=8, ny=8, dim=2)
+        a = assemble_generator_2d(spec)
+        u0 = impulse(spec, 3, 4)
+        runner = OracleRunner(a, u0, 0.1)
+        for s in (1, 2, 5, 12):
+            runner.advance(s - runner.steps_done)
+            state = runner.recover()
+            assert state.time == s * 0.1
+            direct = exact_evolution(a, u0, s * 0.1)
+            assert np.max(np.abs(state.values - direct.values)) <= 1e-12
+
+    def test_annihilated_state_is_fixed(self):
+        from qmaxwell.measure import unit_offset_state
+
+        spec = GridSpec(nx=4, ny=4, dim=2)
+        a = assemble_generator_2d(spec)
+        ones = unit_offset_state(FieldLayout(spec), Component.EZ)
+        assert not (a.tocsr() @ ones.values).any()
+        runner = OracleRunner(a, ones, 0.1)
+        runner.advance(7)
+        assert runner.recover().values is ones.values
+        assert runner.time == pytest.approx(0.7)
+
+
+def test_grid_step_rejects_off_grid_times():
+    from qmaxwell.errors import ConfigError
+
+    assert grid_step(1.5, 0.1) == 15
+    assert grid_step(0.0, 0.1) == 0
+    for t in (0.25, -0.1):
+        with pytest.raises(ConfigError):
+            grid_step(t, 0.1)

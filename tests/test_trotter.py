@@ -18,6 +18,7 @@ from qmaxwell.operators import assemble_generator_2d
 from qmaxwell.trotter import (
     TrotterRunner,
     amplitude_prep_gates,
+    compile_generator,
     ancilla_prep_gates,
     emit_trotter_circuit,
     step_gates,
@@ -178,6 +179,19 @@ class TestEmittedCircuit:
         psi0[: len(sys_state)] = sys_state
         out = simulate(c, StateVector.from_array(psi0))
         assert np.linalg.norm(out.values - runner.psi.values) < 1e-10
+
+    def test_compile_generator_gives_the_runner_blocks(self):
+        from qmaxwell.grid import ScattererBox
+        from qmaxwell.operators import symmetrizing_weights
+
+        spec = GridSpec(nx=8, ny=8, dim=2, scatterer=ScattererBox(lo=(2, 2), hi=(6, 6)))
+        a = assemble_generator_2d(spec)
+        w = symmetrizing_weights(spec)
+        u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
+        runner = TrotterRunner.from_generator(a, u0, PRegister(n_a=1), 0.1, weights=w)
+        pair, h1_blocks, h2_blocks = compile_generator(a, 0.1, w)
+        assert h1_blocks == runner.h1_blocks and h2_blocks == runner.h2_blocks
+        assert (pair.h1 != runner.pair.h1).nnz == 0 and (pair.h2 != runner.pair.h2).nnz == 0
 
     def test_first_order_error_scaling(self):
         # Distance to the exact lifted evolution scales like t*dt.
