@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import HermiticityError
-from .operators import SparseOperator
+from .operators import as_csr
 
 ID = "i"
 S00 = "s00"
@@ -70,12 +69,7 @@ class TensorTerm:
 
 
 def _entry_dict(h) -> tuple[dict, int]:
-    if isinstance(h, SparseOperator):
-        m = h.tocsr()
-    elif sp.issparse(h):
-        m = h.tocsr()
-    else:
-        m = sp.csr_matrix(np.asarray(h))
+    m = as_csr(h)
     if m.shape[0] != m.shape[1]:
         raise ValueError("operator must be square")
     dim = m.shape[0]

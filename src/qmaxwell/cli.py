@@ -36,7 +36,7 @@ from .measure import (
     signed_field_at,
     unit_offset_state,
 )
-from .operators import SparseOperator, assemble_generator, skew_defect, symmetrizing_weights
+from .operators import assemble_generator, skew_defect, symmetrizing_weights
 from .oracle import OracleRunner, grid_step, snapshot, trotter_error_table
 from .scenarios import SCENARIO_NAMES, build_scenario
 from .trotter import TrotterRunner, compile_generator, emit_trotter_circuit
@@ -208,9 +208,7 @@ def _oracle_backend(config, scenario, a, u0, dt, probes, manifest):
 
 def _lifted_exact_backend(config, scenario, a, u0, dt, probes, manifest):
     runner = LiftedExactRunner(a, u0, _register(config), dt, _weights(config, scenario))
-    manifest["skew_defect_used"] = skew_defect(
-        SparseOperator.from_scipy((runner.pair.h1 + 1j * runner.pair.h2).real)
-    )
+    manifest["skew_defect_used"] = skew_defect((runner.pair.h1 + 1j * runner.pair.h2).real)
     recover = partial(runner.recover, config.recovery_mode)
     return runner, recover, lambda writer: writer.exact(runner.time, recover())
 

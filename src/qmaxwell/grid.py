@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,8 +114,9 @@ class ScattererBox:
     """Axis-aligned internal body with walls on integer node planes.
 
     Samples strictly inside the open box ``(lo, hi)`` are frozen at zero;
-    samples on the wall planes stay active.  ``faces`` is the condition the
-    body's lateral walls impose on the surrounding field.
+    samples on the wall planes stay active, except that PEC ``faces`` pin the
+    tangential ``E_z`` on the outline.  ``faces`` is the condition the body's
+    lateral walls impose on the surrounding field.
     """
 
     lo: tuple[int, int]
@@ -133,10 +135,6 @@ class ScattererBox:
     def is_empty(self) -> bool:
         """True when the box encloses no grid sample (zero volume)."""
         return any(h - l < 1 for l, h in zip(self.lo, self.hi))
-
-    def contains(self, x: float, y: float) -> bool:
-        """Strict interior test on physical (possibly half-integer) coordinates."""
-        return self.lo[0] < x < self.hi[0] and self.lo[1] < y < self.hi[1]
 
 
 @dataclass(frozen=True)
@@ -202,6 +200,29 @@ class GridSpec:
         return table[component]
 
 
+_E_COMPONENTS = (Component.EX, Component.EY, Component.EZ)
+
+
+class SampleClass(NamedTuple):
+    """Classes of stored samples, elementwise over the indices they were computed for.
+
+    ``pec`` marks tangential E pinned to zero by a PEC outer face or by the
+    outline of a PEC body; ``interior`` marks samples strictly inside the
+    scatterer; ``pmc_faces`` counts the PMC outer faces a sample sits on
+    (at most 2), each of which scales its symmetrizing weight by 1/sqrt(2).
+    """
+
+    pad: np.ndarray | bool
+    pec: np.ndarray | bool
+    interior: np.ndarray | bool
+    pmc_faces: np.ndarray | int
+
+    @property
+    def active(self) -> np.ndarray:
+        """Free degrees of freedom: neither pad, pinned nor inside the body."""
+        return np.logical_not(self.pad | self.pec | self.interior)
+
+
 @dataclass(frozen=True)
 class FieldLayout:
     """Mapping between (component, i, j, k) samples and flat state indices."""
@@ -243,63 +264,65 @@ class FieldLayout:
         block = self.block_index(component)
         return block * self.block_size + (k * spec.ny + j) * spec.nx + i
 
-    def position(self, component: Component, i: int, j: int, k: int = 0):
-        """Physical coordinates of a sample, including half offsets."""
-        stag = self.spec.staggered_axes(component)
-        return tuple(
-            idx + (0.5 if ax in stag else 0.0) for ax, idx in enumerate((i, j, k))
-        )
+    def classify(self, component: Component, i, j, k=0) -> SampleClass:
+        """Class of the ``component`` samples at index arrays ``i, j, k`` (or scalars).
+
+        The one definition of pads, PEC-pinned samples, the scatterer
+        interior and PMC-face counts; every mask and weight derives from it.
+        Only elementwise operators (``|``, ``&``, ``+``, comparisons) are
+        used, so index arrays and plain ints share this code; a result that
+        no index touched stays a scalar and broadcasts.
+        """
+        spec = self.spec
+        stag = spec.staggered_axes(component)
+        is_e = component in _E_COMPONENTS
+        idx = (i, j, k)
+        pad = pec = interior = False
+        pmc_faces = 0
+        for ax in range(spec.dim):
+            last = idx[ax] == spec.shape[ax] - 1
+            if ax in stag:
+                pad = pad | last
+                continue
+            for side, on_face in enumerate((idx[ax] == 0, last)):
+                if spec.boundaries.face(ax, side) == PMC:
+                    pmc_faces = pmc_faces + on_face
+                elif is_e:
+                    pec = pec | on_face
+        body = spec.scatterer
+        if body is not None and not body.is_empty:
+            x, y = (idx[ax] + (0.5 if ax in stag else 0.0) for ax in (0, 1))
+            (lx, ly), (hx, hy) = body.lo, body.hi
+            interior = (lx < x) & (x < hx) & (ly < y) & (y < hy)
+            if body.faces == PEC and is_e:
+                closed = (lx <= x) & (x <= hx) & (ly <= y) & (y <= hy)
+                pec = pec | (closed & ((x == lx) | (x == hx) | (y == ly) | (y == hy)))
+        return SampleClass(pad=pad, pec=pec, interior=interior, pmc_faces=pmc_faces)
+
+    def sample_classes(self) -> SampleClass:
+        """Class of every stored sample as flat state-length arrays; spare blocks are pads."""
+        spec = self.spec
+        shape = (spec.nz, spec.ny, spec.nx)
+        k, j, i = np.indices(shape)
+        parts = [self.classify(comp, i, j, k) for comp in self.components]
+        n_spare = self.state_len - len(parts) * self.block_size
+        spare = SampleClass(pad=True, pec=False, interior=False, pmc_faces=0)
+        return SampleClass(*(
+            np.concatenate([np.broadcast_to(v, shape).ravel() for v in vs] + [np.full(n_spare, fill)])
+            for *vs, fill in zip(*parts, spare)
+        ))
 
     def is_pad(self, component: Component, i: int, j: int, k: int = 0) -> bool:
         """True for the zero-pad slot at the high end of a half-offset axis."""
-        stag = self.spec.staggered_axes(component)
-        idx = (i, j, k)
-        n = self.spec.shape
-        return any(idx[ax] == n[ax] - 1 for ax in stag)
-
-    def in_scatterer(self, component: Component, i: int, j: int, k: int = 0) -> bool:
-        body = self.spec.scatterer
-        if body is None or body.is_empty:
-            return False
-        x, y, _ = self.position(component, i, j, k)
-        return body.contains(x, y)
-
-    def on_pec_wall(self, component: Component, i: int, j: int, k: int = 0) -> bool:
-        """True for a tangential-E sample pinned to zero by a PEC outer face."""
-        if component in (Component.HX, Component.HY, Component.HZ):
-            return False
-        spec = self.spec
-        comp_axis = {"Ex": 0, "Ey": 1, "Ez": 2}[component.value]
-        idx = (i, j, k)
-        n_axes = 2 if spec.dim == 2 else 3
-        for axis in range(n_axes):
-            if axis == comp_axis:
-                continue
-            if idx[axis] == 0 and spec.boundaries.face(axis, 0) == PEC:
-                return True
-            if idx[axis] == spec.shape[axis] - 1 and spec.boundaries.face(axis, 1) == PEC:
-                return True
-        return False
+        return bool(self.classify(component, i, j, k).pad)
 
     def is_active(self, component: Component, i: int, j: int, k: int = 0) -> bool:
         """True for a free degree of freedom (not pad, frozen, or excluded)."""
-        return not (
-            self.is_pad(component, i, j, k)
-            or self.in_scatterer(component, i, j, k)
-            or self.on_pec_wall(component, i, j, k)
-        )
+        return bool(self.classify(component, i, j, k).active)
 
     def active_mask(self) -> np.ndarray:
         """Boolean mask over the full state; False marks structurally-zero slots."""
-        mask = np.zeros(self.state_len, dtype=bool)
-        spec = self.spec
-        for comp in self.components:
-            for k in range(spec.nz):
-                for j in range(spec.ny):
-                    for i in range(spec.nx):
-                        if self.is_active(comp, i, j, k):
-                            mask[self.flat_index(comp, i, j, k)] = True
-        return mask
+        return self.sample_classes().active
 
     def component_values(self, values: np.ndarray, component: Component) -> np.ndarray:
         """View of one component's block shaped (nz, ny, nx)."""
@@ -350,20 +373,21 @@ def pack_initial_condition(
     """Build an initial state from point impulses.
 
     Each impulse is ``(component, i, j, k, amplitude)``; ``k`` must be 0 in
-    2D mode.  Impulses on pad slots, frozen PEC-wall samples, or inside a
-    scatterer are placement errors.
+    2D mode.  Impulses on pad slots, PEC-pinned samples (outer walls or a
+    PEC body outline), or inside a scatterer are placement errors.
     """
     layout = FieldLayout(spec)
     values = np.zeros(layout.state_len)
+    classes = layout.sample_classes()
     for comp, i, j, k, amp in impulses:
         if spec.dim == 2 and k != 0:
             raise PlacementError(f"k={k} impulse index in 2D mode")
         idx = layout.flat_index(comp, i, j, k)
-        if layout.is_pad(comp, i, j, k):
+        if classes.pad[idx]:
             raise PlacementError(f"impulse at {comp}({i},{j},{k}) is a pad slot")
-        if layout.in_scatterer(comp, i, j, k):
+        if classes.interior[idx]:
             raise PlacementError(f"impulse at {comp}({i},{j},{k}) lies inside the scatterer")
-        if layout.on_pec_wall(comp, i, j, k):
+        if classes.pec[idx]:
             raise PlacementError(f"impulse at {comp}({i},{j},{k}) sits on a PEC wall")
         values[idx] += amp
     return FieldState(values=values, layout=layout, time=0.0)

@@ -84,12 +84,8 @@ def apply_offset(u0: FieldState, component: Component, c: float) -> FieldState:
 def unit_offset_state(layout: FieldLayout, component: Component) -> FieldState:
     """Unit shift configuration of one component (all active samples at 1)."""
     values = np.zeros(layout.state_len)
-    spec = layout.spec
-    for k in range(spec.nz):
-        for j in range(spec.ny):
-            for i in range(spec.nx):
-                if layout.is_active(component, i, j, k):
-                    values[layout.flat_index(component, i, j, k)] = 1.0
+    block = layout.component_values(values, component)
+    block[...] = layout.component_values(layout.active_mask(), component)
     return FieldState(values=values, layout=layout, time=0.0)
 
 

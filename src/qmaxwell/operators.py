@@ -96,6 +96,11 @@ class SparseOperator:
                 fh.write(f"{int(r)} {int(c)} {float(v)!r}\n")
 
 
+def as_csr(a) -> sp.csr_matrix:
+    """CSR form of a :class:`SparseOperator`, a scipy sparse matrix or a dense array."""
+    return a.tocsr() if isinstance(a, SparseOperator) else sp.csr_matrix(a)
+
+
 def _ghost_sign(bc: str) -> float:
     # Antisymmetric reflection (PMC for tangential H) vs symmetric (PEC).
     return -1.0 if bc == PMC else 1.0
@@ -175,16 +180,8 @@ def _place_axis(spec: GridSpec, axis: int, d: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def _mask_structural_zeros(a: sp.csr_matrix, spec: GridSpec) -> sp.csr_matrix:
-    """Zero the rows and columns of pad slots and PEC-frozen samples."""
-    layout = FieldLayout(spec)
-    mask = np.ones(layout.state_len, dtype=bool)
-    for comp in layout.components:
-        for k in range(spec.nz):
-            for j in range(spec.ny):
-                for i in range(spec.nx):
-                    if layout.is_pad(comp, i, j, k) or layout.on_pec_wall(comp, i, j, k):
-                        mask[layout.flat_index(comp, i, j, k)] = False
-    d = sp.diags(mask.astype(float))
+    """Zero the rows and columns of every inactive sample (pads, PEC-pinned, body interior)."""
+    d = sp.diags(FieldLayout(spec).active_mask().astype(float))
     return (d @ a @ d).tocsr()
 
 
@@ -267,14 +264,7 @@ def assemble_generator(spec: GridSpec) -> SparseOperator:
 
 def scatterer_frozen_indices(spec: GridSpec) -> np.ndarray:
     """Flat indices of samples strictly inside the scatterer box."""
-    layout = FieldLayout(spec)
-    out = []
-    for comp in layout.components:
-        for j in range(spec.ny):
-            for i in range(spec.nx):
-                if layout.in_scatterer(comp, i, j, 0):
-                    out.append(layout.flat_index(comp, i, j, 0))
-    return np.array(sorted(out), dtype=np.int64)
+    return np.flatnonzero(FieldLayout(spec).sample_classes().interior)
 
 
 def _scatterer_wall_patches(spec: GridSpec) -> list[tuple[int, int, float]]:
@@ -321,26 +311,13 @@ def _scatterer_wall_patches(spec: GridSpec) -> list[tuple[int, int, float]]:
     return patches
 
 
-def _scatterer_pec_wall_indices(spec: GridSpec) -> np.ndarray:
-    """E_z samples on the body outline, frozen when the body faces are PEC."""
-    layout = FieldLayout(spec)
-    (lx, ly), (hx, hy) = spec.scatterer.lo, spec.scatterer.hi
-    idx = set()
-    for i in range(lx, hx + 1):
-        idx.add(layout.flat_index(Component.EZ, i, ly))
-        idx.add(layout.flat_index(Component.EZ, i, hy))
-    for j in range(ly, hy + 1):
-        idx.add(layout.flat_index(Component.EZ, lx, j))
-        idx.add(layout.flat_index(Component.EZ, hx, j))
-    return np.array(sorted(idx), dtype=np.int64)
-
-
 def apply_scatterer(a: SparseOperator, spec: GridSpec) -> SparseOperator:
     """Freeze the body interior and re-close the adjacent exterior stencils.
 
-    Rows and columns of samples strictly inside the box are zeroed, keeping
-    the operator square and the state length unchanged; exterior wall-node
-    stencils are modified with the same ghost rule as the outer boundary.
+    Rows and columns of inactive samples (the box interior and, for PEC
+    faces, the outline ``E_z``) are zeroed, keeping the operator square and
+    the state length unchanged; exterior wall-node stencils are modified
+    with the same ghost rule as the outer boundary.
     """
     body = spec.scatterer
     if body is None:
@@ -350,13 +327,7 @@ def apply_scatterer(a: SparseOperator, spec: GridSpec) -> SparseOperator:
     if body.is_empty:
         return a
 
-    frozen = scatterer_frozen_indices(spec)
-    if body.faces == PEC:
-        frozen = np.union1d(frozen, _scatterer_pec_wall_indices(spec))
-    keep = np.ones(a.nrows, dtype=bool)
-    keep[frozen] = False
-    d = sp.diags(keep.astype(float))
-    m = (d @ a.tocsr() @ d).tocsr()
+    m = _mask_structural_zeros(a.tocsr(), spec)
 
     patches = _scatterer_wall_patches(spec)
     if patches:
@@ -377,28 +348,7 @@ def symmetrizing_weights(spec: GridSpec) -> np.ndarray:
     active part skew), and scatterer wall lines cannot be covered by any
     diagonal scaling, so a body keeps a genuine symmetric part.
     """
-    layout = FieldLayout(spec)
-    w = np.ones(layout.state_len)
-    b = spec.boundaries
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    n_axes = 2 if spec.dim == 2 else 3
-    for comp in layout.components:
-        stag = spec.staggered_axes(comp)
-        for k in range(spec.nz):
-            for j in range(spec.ny):
-                for i in range(spec.nx):
-                    idx = (i, j, k)
-                    f = 1.0
-                    for ax in range(n_axes):
-                        if ax in stag:
-                            continue
-                        if idx[ax] == 0 and b.face(ax, 0) == PMC:
-                            f *= inv_sqrt2
-                        if idx[ax] == spec.shape[ax] - 1 and b.face(ax, 1) == PMC:
-                            f *= inv_sqrt2
-                    if f != 1.0:
-                        w[layout.flat_index(comp, i, j, k)] = f
-    return w
+    return (1.0 / math.sqrt(2.0)) ** FieldLayout(spec).sample_classes().pmc_faces
 
 
 def apply_weights(a: SparseOperator, weights: np.ndarray) -> SparseOperator:
@@ -408,9 +358,9 @@ def apply_weights(a: SparseOperator, weights: np.ndarray) -> SparseOperator:
     return SparseOperator.from_scipy(d @ a.tocsr() @ dinv)
 
 
-def skew_defect(a: SparseOperator) -> float:
+def skew_defect(a) -> float:
     """Relative Frobenius size of the symmetric part, ||A + A^T||_F / ||A||_F."""
-    m = a.tocsr()
+    m = as_csr(a)
     num = sp.linalg.norm(m + m.T)
     den = sp.linalg.norm(m)
     return float(num / den) if den > 0 else 0.0

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConfigError
 from .grid import Component, FieldState
 from .lifting import PRegister
-from .operators import SparseOperator
+from .operators import SparseOperator, as_csr
 from .trotter import TrotterRunner
 
 log = logging.getLogger(__name__)
@@ -30,7 +30,7 @@ _DIMENSION_CAP = 1 << 16
 
 def exact_evolution(a, u0, t: float):
     """u(t) = exp(A t) u0; dense below dimension 4096, Krylov action above."""
-    m = a.tocsr() if isinstance(a, SparseOperator) else sp.csr_matrix(a)
+    m = as_csr(a)
     dim = m.shape[0]
     if dim > _DIMENSION_CAP:
         raise ValueError(f"dimension {dim} exceeds the desk-scale cap {_DIMENSION_CAP}")
@@ -54,7 +54,7 @@ class OracleRunner:
     """
 
     def __init__(self, a, u0: FieldState, dt: float):
-        self.m = a.tocsr() if isinstance(a, SparseOperator) else sp.csr_matrix(a)
+        self.m = as_csr(a)
         self.state, self.dt, self.steps_done = u0, dt, 0
 
     @property
@@ -80,7 +80,7 @@ def grid_step(t: float, dt: float) -> int:
 
 def rk4_evolution(a, u0, t: float, dt: float = 1e-4):
     """Explicit fixed-step integration; independent cross-check of the exponential."""
-    m = a.tocsr() if isinstance(a, SparseOperator) else sp.csr_matrix(a)
+    m = as_csr(a)
     values = u0.values if isinstance(u0, FieldState) else np.asarray(u0, dtype=float)
     steps = max(1, round(t / dt))
     h = t / steps
@@ -98,7 +98,7 @@ def rk4_evolution(a, u0, t: float, dt: float = 1e-4):
 
 def krylov_evolution(a, u0, t: float):
     """Krylov-subspace action regardless of size (cross-validation helper)."""
-    m = a.tocsr() if isinstance(a, SparseOperator) else sp.csr_matrix(a)
+    m = as_csr(a)
     values = u0.values if isinstance(u0, FieldState) else np.asarray(u0, dtype=float)
     out = expm_multiply(m.tocsc() * t, values)
     if isinstance(u0, FieldState):
@@ -118,14 +118,12 @@ class ErrorTable:
     components: tuple[Component, ...]
     rows: tuple[ErrorRow, ...]
 
-    def filtered(self, dt: float) -> list[ErrorRow]:
-        return [r for r in self.rows if r.dt == dt]
-
     def check_monotone(self) -> bool:
         """Errors should not shrink with the horizon; violations are logged."""
         ok = True
-        for dt in sorted({r.dt for r in self.rows}):
-            rows = sorted(self.filtered(dt), key=lambda r: r.time)
+        by_dt = sorted(self.rows, key=lambda r: (r.dt, r.time))
+        for dt, group in groupby(by_dt, key=lambda r: r.dt):
+            rows = list(group)
             for a, b in zip(rows, rows[1:]):
                 for comp in self.components:
                     if b.errors[comp] < a.errors[comp]:

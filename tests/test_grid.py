@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,17 @@ class TestPack:
         with pytest.raises(PlacementError):
             pack_initial_condition(spec, [(Component.EZ, 0, 2, 0, 1.0)])
 
+    def test_pec_body_outline_rejected(self):
+        # The generator pins E_z on a PEC body outline, so an impulse there
+        # would never move; it is refused like one on a PEC outer wall.
+        spec = GridSpec(
+            nx=16, ny=16, dim=2, scatterer=ScattererBox((4, 4), (12, 12), faces="pec")
+        )
+        with pytest.raises(PlacementError, match="PEC wall"):
+            pack_initial_condition(spec, [(Component.EZ, 4, 8, 0, 1.0)])
+        state = pack_initial_condition(spec, [(Component.EZ, 3, 8, 0, 1.0)])
+        assert state.at(Component.EZ, 3, 8) == 1.0
+
     def test_round_trip(self):
         spec = spec2d(8)
         impulses = [
@@ -179,3 +192,23 @@ class TestActiveMask:
         assert layout.is_active(Component.EZ, 4, 8)  # on the wall
         assert not layout.is_active(Component.HX, 8, 7)  # (8, 7.5) inside
         assert layout.is_active(Component.HX, 4, 7)  # (4, 7.5) on the x wall
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GridSpec(nx=8, ny=4, dim=2, boundaries=Boundaries(xlo="pec", yhi="pec")),
+            GridSpec(nx=16, ny=8, dim=2, scatterer=ScattererBox((4, 2), (12, 6), faces="pec")),
+            GridSpec(nx=4, ny=2, nz=4, dim=3, boundaries=Boundaries(ylo="pec", zhi="pec")),
+        ],
+        ids=["2d-pec-walls", "2d-pec-body", "3d-pec-walls"],
+    )
+    def test_scalar_queries_match_whole_state_mask(self, spec):
+        layout = FieldLayout(spec)
+        mask = layout.active_mask()
+        pads = layout.sample_classes().pad
+        for comp in layout.components:
+            for k, j, i in itertools.product(range(spec.nz), range(spec.ny), range(spec.nx)):
+                flat = layout.flat_index(comp, i, j, k)
+                assert layout.is_active(comp, i, j, k) == mask[flat]
+                assert layout.is_pad(comp, i, j, k) == pads[flat]
+        assert not mask[len(layout.components) * layout.block_size :].any()

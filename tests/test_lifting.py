@@ -13,7 +13,6 @@ from qmaxwell.lifting import (
     evolve_lifted_exact,
     hermitian_split,
     initial_lifted_state,
-    lambda_max_estimate,
     lifted_hamiltonian,
     recover_solution,
     recovery_bound,
@@ -262,15 +261,19 @@ class TestEvolveLiftedExact:
 
 
 class TestRecovery:
-    def test_lambda_max_estimate(self):
-        gapped = np.diag([3.0, 1.0, 0.5, -2.0])
-        assert abs(lambda_max_estimate(gapped) - 3.0) < 1e-8
+    def test_recovery_bound_is_above_lambda_max(self):
+        # At t = 1 (the horizon cap) the bound is the lambda_max(h1) factor itself.
         rng = np.random.default_rng(7)
-        m = rng.standard_normal((12, 12))
-        m = (m + m.T) / 2
-        # Budgeted iteration count: only coarse accuracy is guaranteed.
-        assert abs(lambda_max_estimate(m) - np.linalg.eigvalsh(m)[-1]) < 1e-2
-        assert lambda_max_estimate(np.zeros((4, 4))) == 0.0
+        for n in (2, 5, 12, 40):
+            m = rng.standard_normal((n, n))
+            m = (m + m.T) / 2
+            assert recovery_bound(hermitian_split(m), 1.0) >= np.linalg.eigvalsh(m)[-1]
+        from qmaxwell.scenarios import scenario_2d_empty
+
+        pair = hermitian_split(assemble_generator_2d(scenario_2d_empty(8, 8).spec))
+        lam = np.linalg.eigvalsh(pair.h1.real.toarray())[-1]
+        assert lam > 0.7
+        assert recovery_bound(pair, 1.0) >= lam
 
     def test_recover_at_t_zero(self):
         spec = GridSpec(nx=4, ny=4, dim=2)

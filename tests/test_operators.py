@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -15,11 +18,13 @@ from qmaxwell.operators import (
     NODE_TO_EDGE,
     SparseOperator,
     apply_scatterer,
+    assemble_generator,
     assemble_generator_2d,
     assemble_generator_3d,
     scatterer_frozen_indices,
     skew_defect,
     staggered_derivative,
+    symmetrizing_weights,
 )
 
 from stencil_oracle import apply_curl_2d, apply_curl_3d
@@ -244,3 +249,69 @@ class TestScatterer:
         a = assemble_generator_2d(base)
         with pytest.raises(GridError):
             apply_scatterer(a, base)
+
+
+def _face_mix_specs():
+    for faces in itertools.product(("pmc", "pec"), repeat=4):
+        for body in (None, "pmc", "pec"):
+            box = None if body is None else ScattererBox((4, 4), (12, 12), faces=body)
+            yield pytest.param(
+                GridSpec(nx=16, ny=16, dim=2, boundaries=Boundaries(*faces), scatterer=box),
+                id=f"2d-{'-'.join(faces)}-body-{body}",
+            )
+    for faces in itertools.product(("pmc", "pec"), repeat=6):
+        yield pytest.param(
+            GridSpec(nx=4, ny=4, nz=4, dim=3, boundaries=Boundaries(*faces)),
+            id=f"3d-{'-'.join(faces)}",
+        )
+
+
+@pytest.mark.parametrize("spec", list(_face_mix_specs()))
+def test_active_mask_matches_generator_coupling(spec):
+    """Inactive samples are decoupled, and no active E sample is.
+
+    Normal H on a PEC wall is a legitimate static mode (empty row and
+    column while active), so only E components are held to the converse.
+    """
+    layout = FieldLayout(spec)
+    m = assemble_generator(spec).tocsr()
+    has_row = np.diff(m.indptr) > 0
+    has_col = np.bincount(m.indices, minlength=m.shape[1]) > 0
+    active = layout.active_mask()
+    assert not has_row[~active].any()
+    assert not has_col[~active].any()
+    is_e = np.zeros(layout.state_len, dtype=bool)
+    for comp in layout.components:
+        if comp in (Component.EX, Component.EY, Component.EZ):
+            layout.component_values(is_e, comp)[...] = True
+    assert not (active & is_e & ~has_row & ~has_col).any()
+
+
+@pytest.mark.parametrize("spec", list(_face_mix_specs()))
+def test_weights_match_per_sample_loop(spec):
+    """Bit-identical to a product of 1/sqrt(2) per PMC face, one sample at a time."""
+    layout = FieldLayout(spec)
+    expected = np.ones(layout.state_len)
+    for comp in layout.components:
+        stag = spec.staggered_axes(comp)
+        for k, j, i in itertools.product(range(spec.nz), range(spec.ny), range(spec.nx)):
+            f = 1.0
+            for ax, idx in enumerate((i, j, k)[: spec.dim]):
+                if ax in stag:
+                    continue
+                if idx == 0 and spec.boundaries.face(ax, 0) == "pmc":
+                    f *= 1.0 / math.sqrt(2.0)
+                if idx == spec.shape[ax] - 1 and spec.boundaries.face(ax, 1) == "pmc":
+                    f *= 1.0 / math.sqrt(2.0)
+            expected[layout.flat_index(comp, i, j, k)] = f
+    assert symmetrizing_weights(spec).tobytes() == expected.tobytes()
+
+
+def test_skew_defect_accepts_any_matrix_form():
+    a = assemble_generator_2d(
+        GridSpec(nx=8, ny=8, dim=2, scatterer=ScattererBox((2, 2), (6, 6)))
+    )
+    expected = skew_defect(a)
+    assert expected > 0
+    assert skew_defect(a.tocsr()) == expected
+    assert skew_defect(a.to_dense()) == expected

@@ -113,6 +113,16 @@ class TestErrorTable:
             assert not table.check_monotone()
         assert any("shrank" in r.message for r in caplog.records)
 
+    def test_monotone_check_compares_within_each_dt(self):
+        # Interleaved step sizes: each dt grows with the horizon, the two together do not.
+        rows = (
+            ErrorRow(time=8.0, dt=0.1, errors={Component.EZ: 0.2}),
+            ErrorRow(time=8.0, dt=0.05, errors={Component.EZ: 0.05}),
+            ErrorRow(time=16.0, dt=0.1, errors={Component.EZ: 0.3}),
+            ErrorRow(time=16.0, dt=0.05, errors={Component.EZ: 0.1}),
+        )
+        assert ErrorTable(components=(Component.EZ,), rows=rows).check_monotone()
+
 
 class TestSnapshots:
     def test_initial_impulse_single_pixel(self):
