@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from . import bell, circuit, grid, lifting, measure, operators, oracle, scenarios, trotter
 from .grid import Boundaries, Component, FieldLayout, FieldState, GridSpec, ScattererBox
 from .lifting import HermitianPair, PRegister
-from .operators import SparseOperator
 
 __all__ = [
     "__version__",
@@ -23,7 +22,6 @@ __all__ = [
     "HermitianPair",
     "PRegister",
     "ScattererBox",
-    "SparseOperator",
     "bell",
     "circuit",
     "grid",

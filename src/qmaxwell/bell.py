@@ -336,26 +336,3 @@ def block_generator(block: BellBlock, dt: float) -> np.ndarray:
     t = TensorTerm(c, tuple(factors)).matrix()
     return t + t.conj().T
 
-
-def blocks_to_json(blocks) -> list[dict]:
-    """JSON-ready description of compiled blocks (documented in the README)."""
-
-    def bits_str(bits):
-        return "".join("x" if b < 0 else str(b) for b in bits)
-
-    out = []
-    for b in blocks:
-        out.append(
-            {
-                "kind": b.kind,
-                "n_qubits": b.n,
-                "a": bits_str(b.a_bits),
-                "b": bits_str(b.b_bits),
-                "flip_qubits": list(b.flip_qubits),
-                "controls": list(b.control_spec),
-                "target": b.target,
-                "theta": b.theta,
-                "phase": b.phase,
-            }
-        )
-    return out

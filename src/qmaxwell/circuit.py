@@ -393,14 +393,8 @@ def lowered_gates(circuit: Circuit):
         if g.kind == MCRZ and g.controls:
             yield from mcrz_lowering(g, circuit.n_qubits)
         elif g.kind == FOURIER:
-            for lg in qft_gates(g.qubits, g.inverse):
-                if lg.kind == SWAP:
-                    a, b = lg.qubits
-                    yield Gate(CNOT, (a, b))
-                    yield Gate(CNOT, (b, a))
-                    yield Gate(CNOT, (a, b))
-                else:
-                    yield lg
+            qft = Circuit(circuit.n_qubits, tuple(qft_gates(g.qubits, g.inverse)))
+            yield from lowered_gates(qft)
         elif g.kind == SWAP:
             a, b = g.qubits
             yield Gate(CNOT, (a, b))
@@ -441,21 +435,3 @@ def gate_stats(circuit: Circuit) -> dict:
         "abstract_depth": max(afrontier, default=0),
     }
 
-
-def circuit_to_json(circuit: Circuit) -> dict:
-    """Stable JSON form of a circuit (field names documented in the README)."""
-    gates = []
-    for g in circuit.gates:
-        entry = {"kind": g.kind, "qubits": list(g.qubits)}
-        if g.angle is not None:
-            entry["angle"] = g.angle
-        if g.polarities:
-            entry["polarities"] = list(g.polarities)
-        if g.inverse:
-            entry["inverse"] = True
-        gates.append(entry)
-    return {
-        "n_qubits": circuit.n_qubits,
-        "gates": gates,
-        "metadata": dict(circuit.metadata),
-    }

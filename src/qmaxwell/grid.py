@@ -116,7 +116,8 @@ class ScattererBox:
     Samples strictly inside the open box ``(lo, hi)`` are frozen at zero;
     samples on the wall planes stay active, except that PEC ``faces`` pin the
     tangential ``E_z`` on the outline.  ``faces`` is the condition the body's
-    lateral walls impose on the surrounding field.
+    lateral walls impose on the surrounding field.  The box must span at
+    least one cell on both axes; a point or a plate is a ``GeometryError``.
     """
 
     lo: tuple[int, int]
@@ -128,13 +129,8 @@ class ScattererBox:
             raise GridError("scatterer faces must be 'pmc' or 'pec'")
         if len(self.lo) != 2 or len(self.hi) != 2:
             raise GridError("scatterer corners must be (i, j) pairs")
-        if any(h < l for l, h in zip(self.lo, self.hi)):
-            raise GridError("scatterer hi corner must not precede lo corner")
-
-    @property
-    def is_empty(self) -> bool:
-        """True when the box encloses no grid sample (zero volume)."""
-        return any(h - l < 1 for l, h in zip(self.lo, self.hi))
+        if any(h <= l for l, h in zip(self.lo, self.hi)):
+            raise GeometryError("scatterer hi corner must exceed lo corner on both axes")
 
 
 @dataclass(frozen=True)
@@ -290,7 +286,7 @@ class FieldLayout:
                 elif is_e:
                     pec = pec | on_face
         body = spec.scatterer
-        if body is not None and not body.is_empty:
+        if body is not None:
             x, y = (idx[ax] + (0.5 if ax in stag else 0.0) for ax in (0, 1))
             (lx, ly), (hx, hy) = body.lo, body.hi
             interior = (lx < x) & (x < hx) & (ly < y) & (y < hy)

@@ -1,7 +1,13 @@
 """Sparse generator assembly for the semi-discrete curl equations.
 
+Every operator here is a canonical ``scipy.sparse.csr_matrix`` (duplicates
+summed, no stored zeros, sorted indices), built by :func:`as_csr`; equal
+operators therefore have equal arrays.
+
 The generator couples the stacked field blocks through one-dimensional
 staggered difference factors combined by Kronecker products (x fastest).
+One curl table serves 2D and 3D: a 2D grid keeps the ``E_z``, ``H_x`` and
+``H_y`` rows and drops the terms whose source component it does not store.
 Boundary faces modify the edge-to-node factors through ghost samples:
 a PMC face reflects tangential magnetic samples antisymmetrically, which
 doubles the surviving coefficient in the wall row; a PEC face reflects
@@ -16,89 +22,28 @@ boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GeometryError, GridError
+from .errors import GridError
 from .grid import PEC, PMC, Component, FieldLayout, GridSpec
 
 NODE_TO_EDGE = "node_to_edge"
 EDGE_TO_NODE = "edge_to_node"
 
 
-@dataclass(frozen=True)
-class SparseOperator:
-    """Real sparse matrix in canonical triplet form.
-
-    Entries are deduplicated, sorted by (row, col), and never store explicit
-    zeros.  Instances are immutable and shareable.
-    """
-
-    nrows: int
-    ncols: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-    @staticmethod
-    def from_coo(nrows, ncols, rows, cols, vals) -> "SparseOperator":
-        m = sp.coo_matrix(
-            (np.asarray(vals, dtype=float), (rows, cols)), shape=(nrows, ncols)
-        ).tocsr()
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        coo = m.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return SparseOperator(
-            nrows,
-            ncols,
-            coo.row[order].astype(np.int64),
-            coo.col[order].astype(np.int64),
-            coo.data[order],
-        )
-
-    @staticmethod
-    def from_scipy(m) -> "SparseOperator":
-        m = sp.coo_matrix(m)
-        return SparseOperator.from_coo(m.shape[0], m.shape[1], m.row, m.col, m.data)
-
-    @staticmethod
-    def from_dense(a: np.ndarray) -> "SparseOperator":
-        return SparseOperator.from_scipy(sp.coo_matrix(a))
-
-    def entries(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(r), int(c), float(v))
-            for r, c, v in zip(self.rows, self.cols, self.vals)
-        ]
-
-    @property
-    def nnz(self) -> int:
-        return len(self.vals)
-
-    def tocsr(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.nrows, self.ncols)
-        )
-
-    def to_dense(self) -> np.ndarray:
-        return self.tocsr().toarray()
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.tocsr() @ x
-
-    def dump_triplets(self, path) -> None:
-        """Write one ``row col value`` line per entry for external inspection."""
-        with open(path, "w") as fh:
-            for r, c, v in zip(self.rows, self.cols, self.vals):
-                fh.write(f"{int(r)} {int(c)} {float(v)!r}\n")
-
-
 def as_csr(a) -> sp.csr_matrix:
-    """CSR form of a :class:`SparseOperator`, a scipy sparse matrix or a dense array."""
-    return a.tocsr() if isinstance(a, SparseOperator) else sp.csr_matrix(a)
+    """Canonical CSR copy of a scipy sparse matrix or a dense array.
+
+    Duplicates are summed, explicit zeros dropped and column indices sorted,
+    so equal operators have equal ``indptr``/``indices``/``data`` arrays.
+    """
+    m = sp.csr_matrix(a, copy=True)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    m.sort_indices()
+    return m
 
 
 def _ghost_sign(bc: str) -> float:
@@ -112,7 +57,7 @@ def staggered_derivative(
     orientation: str,
     bc_lo: str = PMC,
     bc_hi: str | None = None,
-) -> SparseOperator:
+) -> sp.csr_matrix:
     """1D central difference between the two staggered sample families.
 
     ``NODE_TO_EDGE`` differentiates integer-located samples onto half-offset
@@ -153,20 +98,19 @@ def staggered_derivative(
         rows.append(n - 1)
         cols.append(n - 2)
         vals.append((g_hi - 1.0) * inv)
-    return SparseOperator.from_coo(n, n, rows, cols, vals)
+    return as_csr(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
 
 
 def _axis_factor(spec: GridSpec, axis: int, orientation: str) -> sp.csr_matrix:
     n = spec.shape[axis]
     delta = spec.spacing[axis]
-    d = staggered_derivative(
+    return staggered_derivative(
         n,
         delta,
         orientation,
         spec.boundaries.face(axis, 0),
         spec.boundaries.face(axis, 1),
     )
-    return d.tocsr()
 
 
 def _place_axis(spec: GridSpec, axis: int, d: sp.csr_matrix) -> sp.csr_matrix:
@@ -185,41 +129,8 @@ def _mask_structural_zeros(a: sp.csr_matrix, spec: GridSpec) -> sp.csr_matrix:
     return (d @ a @ d).tocsr()
 
 
-def assemble_generator_2d(spec: GridSpec) -> SparseOperator:
-    """Generator for the transverse (E_z, H_x, H_y) system on the padded layout.
-
-    Block structure over [E_z, H_x, H_y, pad]: the E_z row couples to the
-    magnetic blocks through edge-to-node derivatives, the magnetic rows couple
-    back through node-to-edge derivatives, and the pad row/column is zero.
-    Scatterer modifications are applied when the spec carries a body.
-    """
-    if spec.dim != 2:
-        raise GridError("assemble_generator_2d requires a 2D spec")
-    inv_eps = 1.0 / spec.epsilon
-    inv_mu = 1.0 / spec.mu
-    dx_e2n = _axis_factor(spec, 0, EDGE_TO_NODE)
-    dy_e2n = _axis_factor(spec, 1, EDGE_TO_NODE)
-    dx_n2e = _axis_factor(spec, 0, NODE_TO_EDGE)
-    dy_n2e = _axis_factor(spec, 1, NODE_TO_EDGE)
-
-    n = spec.nx * spec.ny
-    z = None
-    blocks = [
-        [z, -inv_eps * _place_axis(spec, 1, dy_e2n), inv_eps * _place_axis(spec, 0, dx_e2n), z],
-        [-inv_mu * _place_axis(spec, 1, dy_n2e), z, z, z],
-        [inv_mu * _place_axis(spec, 0, dx_n2e), z, z, z],
-        [z, z, z, sp.csr_matrix((n, n))],
-    ]
-    a = sp.bmat(blocks, format="csr")
-    a = _mask_structural_zeros(a, spec)
-    op = SparseOperator.from_scipy(a)
-    if spec.scatterer is not None and not spec.scatterer.is_empty:
-        op = apply_scatterer(op, spec)
-    return op
-
-
 # Curl table: component -> [(source, derivative axis, sign)].
-_CURL_3D = {
+_CURL = {
     Component.EX: [(Component.HZ, 1, +1.0), (Component.HY, 2, -1.0)],
     Component.EY: [(Component.HX, 2, +1.0), (Component.HZ, 0, -1.0)],
     Component.EZ: [(Component.HY, 0, +1.0), (Component.HX, 1, -1.0)],
@@ -229,37 +140,35 @@ _CURL_3D = {
 }
 
 
-def assemble_generator_3d(spec: GridSpec) -> SparseOperator:
-    """Full six-component curl generator on the padded 8N layout.
+def assemble_generator(spec: GridSpec) -> sp.csr_matrix:
+    """Curl generator on the padded layout (4N in 2D, 8N in 3D).
 
     Electric rows read magnetic blocks through edge-to-node factors (boundary
     ghosts applied per face), magnetic rows read electric blocks through
-    node-to-edge factors; blocks 6 and 7 are zero pads.
+    node-to-edge factors, and the spare pad blocks are zero.  Rows and
+    columns of inactive samples are zeroed, and the wall-node stencils of a
+    PMC scatterer are re-closed against its frozen interior.
     """
-    if spec.dim != 3:
-        raise GridError("assemble_generator_3d requires a 3D spec")
     layout = FieldLayout(spec)
-    n = layout.block_size
+    comps = layout.components
     inv = {True: 1.0 / spec.epsilon, False: 1.0 / spec.mu}
-
-    grid = [[None] * 8 for _ in range(8)]
-    for comp, terms in _CURL_3D.items():
+    grid = [[None] * layout.n_blocks for _ in range(layout.n_blocks)]
+    for r, comp in enumerate(comps):
         is_e = comp in (Component.EX, Component.EY, Component.EZ)
         orientation = EDGE_TO_NODE if is_e else NODE_TO_EDGE
-        r = layout.block_index(comp)
-        for src, axis, sign in terms:
-            c = layout.block_index(src)
-            d = _axis_factor(spec, axis, orientation)
-            grid[r][c] = sign * inv[is_e] * _place_axis(spec, axis, d)
-    grid[6][6] = sp.csr_matrix((n, n))
-    grid[7][7] = sp.csr_matrix((n, n))
-    a = sp.bmat(grid, format="csr")
-    a = _mask_structural_zeros(a, spec)
-    return SparseOperator.from_scipy(a)
-
-
-def assemble_generator(spec: GridSpec) -> SparseOperator:
-    return assemble_generator_2d(spec) if spec.dim == 2 else assemble_generator_3d(spec)
+        for src, axis, sign in _CURL[comp]:
+            if src in comps:
+                d = _axis_factor(spec, axis, orientation)
+                grid[r][comps.index(src)] = sign * inv[is_e] * _place_axis(spec, axis, d)
+    n = layout.block_size
+    for b in range(len(comps), layout.n_blocks):
+        grid[b][b] = sp.csr_matrix((n, n))
+    a = _mask_structural_zeros(sp.bmat(grid, format="csr"), spec)
+    patches = _scatterer_wall_patches(spec) if spec.scatterer is not None else []
+    if patches:
+        rows, cols, vals = zip(*patches)
+        a = a + sp.coo_matrix((vals, (rows, cols)), shape=a.shape).tocsr()
+    return as_csr(a)
 
 
 def scatterer_frozen_indices(spec: GridSpec) -> np.ndarray:
@@ -311,33 +220,6 @@ def _scatterer_wall_patches(spec: GridSpec) -> list[tuple[int, int, float]]:
     return patches
 
 
-def apply_scatterer(a: SparseOperator, spec: GridSpec) -> SparseOperator:
-    """Freeze the body interior and re-close the adjacent exterior stencils.
-
-    Rows and columns of inactive samples (the box interior and, for PEC
-    faces, the outline ``E_z``) are zeroed, keeping the operator square and
-    the state length unchanged; exterior wall-node stencils are modified
-    with the same ghost rule as the outer boundary.
-    """
-    body = spec.scatterer
-    if body is None:
-        raise GridError("spec has no scatterer")
-    if spec.dim != 2:
-        raise GeometryError("internal scatterers are supported in 2D only")
-    if body.is_empty:
-        return a
-
-    m = _mask_structural_zeros(a.tocsr(), spec)
-
-    patches = _scatterer_wall_patches(spec)
-    if patches:
-        rows = [p[0] for p in patches]
-        cols = [p[1] for p in patches]
-        vals = [p[2] for p in patches]
-        m = m + sp.coo_matrix((vals, (rows, cols)), shape=m.shape).tocsr()
-    return SparseOperator.from_scipy(m)
-
-
 def symmetrizing_weights(spec: GridSpec) -> np.ndarray:
     """Diagonal similarity scaling that restores skew symmetry at PMC faces.
 
@@ -351,11 +233,11 @@ def symmetrizing_weights(spec: GridSpec) -> np.ndarray:
     return (1.0 / math.sqrt(2.0)) ** FieldLayout(spec).sample_classes().pmc_faces
 
 
-def apply_weights(a: SparseOperator, weights: np.ndarray) -> SparseOperator:
+def apply_weights(a, weights: np.ndarray) -> sp.csr_matrix:
     """Similarity transform ``D A D^-1`` for a positive diagonal ``weights``."""
     d = sp.diags(weights)
     dinv = sp.diags(1.0 / weights)
-    return SparseOperator.from_scipy(d @ a.tocsr() @ dinv)
+    return as_csr(d @ a @ dinv)
 
 
 def skew_defect(a) -> float:

@@ -19,7 +19,7 @@ from scipy.sparse.linalg import expm_multiply
 from .errors import ConfigError
 from .grid import Component, FieldState
 from .lifting import PRegister
-from .operators import SparseOperator, as_csr
+from .operators import as_csr
 from .trotter import TrotterRunner
 
 log = logging.getLogger(__name__)
@@ -96,16 +96,6 @@ def rk4_evolution(a, u0, t: float, dt: float = 1e-4):
     return v
 
 
-def krylov_evolution(a, u0, t: float):
-    """Krylov-subspace action regardless of size (cross-validation helper)."""
-    m = as_csr(a)
-    values = u0.values if isinstance(u0, FieldState) else np.asarray(u0, dtype=float)
-    out = expm_multiply(m.tocsc() * t, values)
-    if isinstance(u0, FieldState):
-        return FieldState(values=out, layout=u0.layout, time=u0.time + t)
-    return out
-
-
 @dataclass(frozen=True)
 class ErrorRow:
     time: float
@@ -154,7 +144,7 @@ def component_errors(state: FieldState, reference: FieldState) -> dict:
 
 
 def trotter_error_table(
-    a: SparseOperator,
+    a,
     u0: FieldState,
     dts,
     times,

@@ -47,7 +47,7 @@ from .lifting import (
     initial_lifted_state,
     recover_solution,
 )
-from .operators import SparseOperator, apply_weights
+from .operators import apply_weights
 
 # Fixed shuffle seed for the canonical block order: a decohered order keeps
 # same-axis splitting errors from accumulating coherently (2-3x smaller
@@ -55,16 +55,15 @@ from .operators import SparseOperator, apply_weights
 BLOCK_ORDER_SEED = 23
 
 
-def order_blocks(blocks: list[BellBlock], seed: int | None = BLOCK_ORDER_SEED) -> list[BellBlock]:
-    """Deterministic compile order for a block list (``None`` = keep as built)."""
+def order_blocks(blocks: list[BellBlock]) -> list[BellBlock]:
+    """Deterministic compile order: the blocks shuffled with ``BLOCK_ORDER_SEED``."""
     out = list(blocks)
-    if seed is not None:
-        np.random.default_rng(seed).shuffle(out)
+    np.random.default_rng(BLOCK_ORDER_SEED).shuffle(out)
     return out
 
 
 def compile_generator(
-    a, dt: float, weights: np.ndarray | None = None, order_seed: int | None = BLOCK_ORDER_SEED
+    a, dt: float, weights: np.ndarray | None = None
 ) -> tuple[HermitianPair, list[BellBlock], list[BellBlock]]:
     """Hermitian split of ``A`` (or of ``D A D^-1`` with ``D = diag(weights)``) and its ordered blocks.
 
@@ -73,8 +72,8 @@ def compile_generator(
     pair = hermitian_split(a if weights is None else apply_weights(a, weights))
     return (
         pair,
-        order_blocks(compile_blocks(pair.h1, dt), order_seed),
-        order_blocks(compile_blocks(pair.h2, dt), order_seed),
+        order_blocks(compile_blocks(pair.h1, dt)),
+        order_blocks(compile_blocks(pair.h2, dt)),
     )
 
 
@@ -96,6 +95,7 @@ def _o_transform_gates(block: BellBlock) -> list[Gate]:
 
 
 def _spectator_controls(block: BellBlock) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Controls of a block's core and their polarities: fixed bits, and Bell bits off the target."""
     ctrls, pols = [], []
     for q in range(block.n):
         s = block.control_spec[q]
@@ -153,25 +153,11 @@ def block_gates(
         o_gates = _o_transform_gates(block)
         return dagger(o_gates) + cores + o_gates
     # Diagonal block: pure phase on the constrained pattern.
-    qs, ps = [], []
-    for q in range(block.n):
-        s = block.control_spec[q]
-        if s == CTRL_ONE:
-            qs.append(q)
-            ps.append(1)
-        elif s == CTRL_ZERO:
-            qs.append(q)
-            ps.append(0)
+    qs, ps = _spectator_controls(block)
     out = []
     for idx, scale in enumerate(angle_scales):
-        extra_q = [extra_controls[idx]] if extra_controls else []
-        out.extend(
-            _mcphase_gates(
-                tuple(extra_q) + tuple(qs),
-                (1,) * len(extra_q) + tuple(ps),
-                block.theta * scale,
-            )
-        )
+        extra = (extra_controls[idx],) if extra_controls else ()
+        out.extend(_mcphase_gates(extra + qs, (1,) * len(extra) + ps, block.theta * scale))
     return out
 
 
@@ -311,14 +297,13 @@ class TrotterRunner:
 
     @staticmethod
     def from_generator(
-        a: SparseOperator,
+        a,
         u0,
         reg: PRegister,
         dt: float,
         layout: FieldLayout | None = None,
         check_norm: bool = True,
         weights: np.ndarray | None = None,
-        order_seed: int | None = BLOCK_ORDER_SEED,
     ) -> "TrotterRunner":
         """Compile a generator and initial state into a step runner.
 
@@ -329,7 +314,7 @@ class TrotterRunner:
         """
         if isinstance(u0, FieldState) and layout is None:
             layout = u0.layout
-        pair, h1_blocks, h2_blocks = compile_generator(a, dt, weights, order_seed)
+        pair, h1_blocks, h2_blocks = compile_generator(a, dt, weights)
         lifted = initial_lifted_state(u0, reg, weights)
         n_sys = int(math.log2(pair.dim))
         step = Circuit(

@@ -28,7 +28,7 @@ def _frozen_ez_2d(spec, i, j):
     if (j == 0 and b.ylo == "pec") or (j == spec.ny - 1 and b.yhi == "pec"):
         return True
     body = spec.scatterer
-    if body is not None and not body.is_empty:
+    if body is not None:
         (lx, ly), (hx, hy) = body.lo, body.hi
         if lx < i < hx and ly < j < hy:
             return True
@@ -41,7 +41,7 @@ def _frozen_ez_2d(spec, i, j):
 
 def _inside_body(spec, x, y):
     body = spec.scatterer
-    if body is None or body.is_empty:
+    if body is None:
         return False
     return body.lo[0] < x < body.hi[0] and body.lo[1] < y < body.hi[1]
 
@@ -50,7 +50,7 @@ def apply_curl_2d(spec: GridSpec, u: np.ndarray) -> np.ndarray:
     """du/dt for the stacked (E_z, H_x, H_y, pad) state, one sample at a time."""
     nx, ny = spec.nx, spec.ny
     dx, dy = spec.dx, spec.dy
-    body = spec.scatterer if (spec.scatterer and not spec.scatterer.is_empty) else None
+    body = spec.scatterer
 
     def read_ez(i, j):
         if _frozen_ez_2d(spec, i, j):

@@ -41,9 +41,8 @@ from qmaxwell.measure import (
 )
 from qmaxwell.operators import (
     apply_weights,
+    as_csr,
     assemble_generator,
-    assemble_generator_2d,
-    assemble_generator_3d,
     scatterer_frozen_indices,
     skew_defect,
     symmetrizing_weights,
@@ -91,7 +90,7 @@ def test_criterion_01_operator_oracle_equivalence():
         layout = FieldLayout(spec)
         for _ in range(20 if spec.dim == 2 else 10):
             u = rng.standard_normal(layout.state_len)
-            worst = max(worst, float(np.max(np.abs(a.matvec(u) - oracle(spec, u)))))
+            worst = max(worst, float(np.max(np.abs(a @ u - oracle(spec, u)))))
     elapsed = time.time() - t0
     ok = worst < 1e-12 and elapsed < 10.0
     assert _report(
@@ -109,7 +108,7 @@ def test_criterion_02_bell_reconstruction_and_blocks():
         GridSpec(nx=8, ny=8, dim=2),
         GridSpec(nx=8, ny=8, dim=2, scatterer=ScattererBox((2, 2), (6, 6))),
     ):
-        pair = hermitian_split(assemble_generator_2d(spec))
+        pair = hermitian_split(assemble_generator(spec))
         operators += [pair.h1.toarray(), pair.h2.toarray()]
     worst_recon = 0.0
     worst_block = 0.0
@@ -139,7 +138,7 @@ def test_criterion_02_bell_reconstruction_and_blocks():
 def test_criterion_03_trotter_trend():
     t0 = time.time()
     spec = GridSpec(nx=8, ny=8, dim=2)
-    a = assemble_generator_2d(spec)
+    a = assemble_generator(spec)
     layout = FieldLayout(spec)
     u0 = _impulse(spec, at=(4, 4, 0))
     weights = symmetrizing_weights(spec)
@@ -194,11 +193,11 @@ def test_criterion_05_exact_recovery_when_skew():
     synthetic = synthetic - synthetic.T
     cases = {
         "2d-empty(8x8,weighted)": apply_weights(
-            assemble_generator_2d(GridSpec(nx=8, ny=8, dim=2)),
+            assemble_generator(GridSpec(nx=8, ny=8, dim=2)),
             symmetrizing_weights(GridSpec(nx=8, ny=8, dim=2)),
         ),
         "2d-pec-faces(8x8,weighted)": apply_weights(
-            assemble_generator_2d(
+            assemble_generator(
                 GridSpec(nx=8, ny=8, dim=2, boundaries=Boundaries(xlo="pec", yhi="pec"))
             ),
             symmetrizing_weights(
@@ -206,14 +205,14 @@ def test_criterion_05_exact_recovery_when_skew():
             ),
         ),
         "3d-empty(4^3,weighted)": apply_weights(
-            assemble_generator_3d(GridSpec(nx=4, ny=4, nz=4, dim=3)),
+            assemble_generator(GridSpec(nx=4, ny=4, nz=4, dim=3)),
             symmetrizing_weights(GridSpec(nx=4, ny=4, nz=4, dim=3)),
         ),
         "2d-scatterer(16x16,weighted)": apply_weights(
-            assemble_generator_2d(scenario_2d_scatterer().spec),
+            assemble_generator(scenario_2d_scatterer().spec),
             symmetrizing_weights(scenario_2d_scatterer().spec),
         ),
-        "synthetic-skew(16)": __import__("qmaxwell").operators.SparseOperator.from_dense(synthetic),
+        "synthetic-skew(16)": as_csr(synthetic),
     }
     reg = PRegister(n_a=1)
     lines = []
@@ -233,7 +232,7 @@ def test_criterion_05_exact_recovery_when_skew():
         for t in (0.5, 2.0, 8.0):
             v = evolve_lifted_exact(pair, reg, lift.values, t)
             rec = recover_solution(v, reg, pair, t, norm=lift.norm)
-            err = float(np.linalg.norm(rec - expm(a.to_dense() * t) @ u0))
+            err = float(np.linalg.norm(rec - expm(a.toarray() * t) @ u0))
             worst = max(worst, err)
             ok = ok and err < 1e-10
         n_exercised += 1
@@ -249,7 +248,7 @@ def test_criterion_05_exact_recovery_when_skew():
 def test_criterion_06_signed_probe_traces():
     t0 = time.time()
     spec = GridSpec(nx=16, ny=16, dim=2)
-    a = assemble_generator_2d(spec)
+    a = assemble_generator(spec)
     layout = FieldLayout(spec)
     u0 = _impulse(spec, at=(8, 8, 0))
     c_offset = 1.0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from qmaxwell.bell import (
     BELL,
@@ -13,7 +13,6 @@ from qmaxwell.bell import (
     S11,
     ID,
     block_generator,
-    blocks_to_json,
     build_bell_block,
     compile_blocks,
     pair_adjoints,
@@ -23,7 +22,7 @@ from qmaxwell.bell import (
 from qmaxwell.errors import HermiticityError
 from qmaxwell.grid import GridSpec, ScattererBox
 from qmaxwell.lifting import hermitian_split
-from qmaxwell.operators import assemble_generator_2d, staggered_derivative
+from qmaxwell.operators import assemble_generator, staggered_derivative
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -57,7 +56,7 @@ class TestTensorize:
         # Band + boundary deviations: O(log dim) strings, not O(dim).
         counts = {}
         for n in (8, 16, 32, 64):
-            d = staggered_derivative(n, 1.0, "edge_to_node").to_dense()
+            d = staggered_derivative(n, 1.0, "edge_to_node").toarray()
             counts[n] = len(tensorize(d))
         print(f"edge-to-node term counts: {counts}")
         # Constant increment per added qubit, far below one term per entry.
@@ -66,7 +65,7 @@ class TestTensorize:
         assert counts[64] < 2 * 64 - 1
 
     def test_reconstruction_exact_central_difference(self):
-        d = staggered_derivative(4, 1.0, "node_to_edge").to_dense()
+        d = staggered_derivative(4, 1.0, "node_to_edge").toarray()
         h = np.kron(np.eye(2), d)
         terms = tensorize(h)
         assert np.linalg.norm(reconstruct(terms) - h) < 1e-14
@@ -74,14 +73,14 @@ class TestTensorize:
     @pytest.mark.parametrize("n", [4, 8])
     def test_reconstruction_assembled_operators(self, n):
         spec = GridSpec(nx=n, ny=n, dim=2)
-        pair = hermitian_split(assemble_generator_2d(spec))
+        pair = hermitian_split(assemble_generator(spec))
         for h in (pair.h1.toarray(), pair.h2.toarray()):
             terms = tensorize(h)
             assert np.linalg.norm(reconstruct(terms) - h) < 1e-13
 
     def test_reconstruction_scatterer_operator(self):
         spec = GridSpec(nx=8, ny=8, dim=2, scatterer=ScattererBox((2, 2), (6, 6)))
-        pair = hermitian_split(assemble_generator_2d(spec))
+        pair = hermitian_split(assemble_generator(spec))
         h2 = pair.h2.toarray()
         terms = tensorize(h2)
         assert np.linalg.norm(reconstruct(terms) - h2) < 1e-13
@@ -103,7 +102,7 @@ class TestPairAdjoints:
 
     def test_h2_terms_all_matched(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
-        pair = hermitian_split(assemble_generator_2d(spec))
+        pair = hermitian_split(assemble_generator(spec))
         pairs, diag = pair_adjoints(tensorize(pair.h2))
         assert diag == []  # zero diagonal
         total = reconstruct(pairs)
@@ -179,6 +178,27 @@ class TestBellBlocks:
         u = simulated_block_unitary(block)
         assert np.linalg.norm(u - expm(1j * 0.3 * h)) < 1e-12
 
+    def test_diagonal_block_polarity_zero_control(self):
+        # |1><1| (x) I (x) |0><0|: a control-on-1 on qubit 2 and a control-on-0 on qubit 0.
+        block = build_bell_block(TensorTerm(0.7 + 0j, (S11, ID, S00)), dt=0.3)
+        assert block.kind == DIAGONAL and block.control_spec[0] == "control-0"
+        u = simulated_block_unitary(block)
+        assert np.linalg.norm(u - expm(1j * 0.3 * block_generator(block, 0.3))) < 1e-12
+
+    def test_diagonal_block_extra_controls(self):
+        # Two auxiliary qubits (3, 4) scale the phase by the frequency of their pattern.
+        from qmaxwell.circuit import gates_unitary
+        from qmaxwell.trotter import block_gates
+
+        dt, scales = 0.3, (0.5, -1.25)
+        block = build_bell_block(TensorTerm(0.7 + 0j, (S11, ID, S00)), dt=dt)
+        u = gates_unitary(block_gates(block, extra_controls=(3, 4), angle_scales=scales), 5)
+        g = block_generator(block, dt)
+        expected = block_diag(*(
+            expm(1j * dt * (scales[0] * (l & 1) + scales[1] * (l >> 1)) * g) for l in range(4)
+        ))
+        assert np.linalg.norm(u - expected) < 1e-12
+
     def test_identity_term_rejected(self):
         with pytest.raises(ValueError):
             build_bell_block(TensorTerm(1.0 + 0j, (ID, ID)), dt=0.1)
@@ -193,7 +213,7 @@ class TestBellBlocks:
 
     def test_compiled_blocks_unitary_and_correct(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
-        pair = hermitian_split(assemble_generator_2d(spec))
+        pair = hermitian_split(assemble_generator(spec))
         dt = 0.1
         blocks = compile_blocks(pair.h2, dt)
         rng = np.random.default_rng(1)
@@ -204,11 +224,3 @@ class TestBellBlocks:
             assert np.linalg.norm(u @ u.conj().T - np.eye(64)) < 1e-12
             expected = expm(1j * dt * block_generator(b, dt))
             assert np.linalg.norm(u - expected) < 1e-10
-
-    def test_blocks_json(self):
-        pairs, _ = pair_adjoints(tensorize(PAULI_X))
-        block = build_bell_block(pairs[0], dt=0.3)
-        (entry,) = blocks_to_json([block])
-        assert entry["kind"] == "bell"
-        assert entry["a"] == "0" and entry["b"] == "1"
-        assert entry["theta"] == pytest.approx(0.6)

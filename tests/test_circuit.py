@@ -14,7 +14,6 @@ from qmaxwell.circuit import (
     Circuit,
     Gate,
     StateVector,
-    circuit_to_json,
     circuit_unitary,
     gate_stats,
     gates_unitary,
@@ -266,22 +265,3 @@ class TestStats:
         u1 = circuit_unitary(c)
         u2 = circuit_unitary(lowered)
         assert np.linalg.norm(u1 - u2) < 1e-11
-
-
-class TestJson:
-    def test_round_trip_fields(self):
-        c = Circuit(
-            2,
-            (Gate(MCRZ, (0, 1), 0.5, (1,)), Gate(FOURIER, (0, 1), inverse=True)),
-            metadata={"dt": 0.1},
-        )
-        blob = circuit_to_json(c)
-        assert blob["n_qubits"] == 2
-        assert blob["gates"][0] == {
-            "kind": "mcrz",
-            "qubits": [0, 1],
-            "angle": 0.5,
-            "polarities": [1],
-        }
-        assert blob["gates"][1]["inverse"] is True
-        assert blob["metadata"] == {"dt": 0.1}

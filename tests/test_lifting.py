@@ -17,7 +17,7 @@ from qmaxwell.lifting import (
     recover_solution,
     recovery_bound,
 )
-from qmaxwell.operators import apply_weights, assemble_generator_2d, skew_defect, symmetrizing_weights
+from qmaxwell.operators import apply_weights, as_csr, assemble_generator, skew_defect, symmetrizing_weights
 
 
 def random_generator(n, rng):
@@ -43,11 +43,11 @@ class TestHermitianSplit:
 
     def test_reconstruction_scatterer_scenario(self):
         spec = GridSpec(nx=8, ny=8, dim=2, scatterer=ScattererBox((2, 2), (6, 6)))
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         pair = hermitian_split(a)
         recon = pair.h1.toarray() + 1j * pair.h2.toarray()
-        err = np.linalg.norm(recon - a.to_dense())
-        assert err <= 1e-14 * max(1.0, np.linalg.norm(a.to_dense()))
+        err = np.linalg.norm(recon - a.toarray())
+        assert err <= 1e-14 * max(1.0, np.linalg.norm(a.toarray()))
 
     def test_lifted_hamiltonian(self):
         rng = np.random.default_rng(2)
@@ -146,7 +146,7 @@ class TestLiftedExactRunner:
     def test_stepping_matches_direct_evolution(self):
         # Weighted 8x8 scatterer: stepped by dt, recovered in original variables.
         spec = GridSpec(nx=8, ny=8, dim=2, scatterer=ScattererBox(lo=(2, 2), hi=(6, 6)))
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         w = symmetrizing_weights(spec)
         reg = PRegister(n_a=2)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
@@ -163,7 +163,7 @@ class TestLiftedExactRunner:
 
     def test_recovery_undoes_weights(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
         runner = LiftedExactRunner(a, u0, PRegister(n_a=1), 0.1, symmetrizing_weights(spec))
         assert np.max(np.abs(runner.recover().values - u0.values)) <= 1e-12
@@ -212,7 +212,7 @@ class TestEvolveLiftedExact:
     def test_against_joint_rk4_integrator(self):
         # 2D 4x4 generator, lifted with two auxiliary qubits, t = 0.5.
         spec = GridSpec(nx=4, ny=4, dim=2)
-        pair = hermitian_split(assemble_generator_2d(spec))
+        pair = hermitian_split(assemble_generator(spec))
         reg = PRegister(n_a=2)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
         v0 = initial_lifted_state(u0, reg)
@@ -227,7 +227,7 @@ class TestEvolveLiftedExact:
         # part, on the same periodic window at high resolution; checks the
         # transport physics rather than the spectral discretization.
         spec = GridSpec(nx=4, ny=4, dim=2)
-        pair = hermitian_split(assemble_generator_2d(spec))
+        pair = hermitian_split(assemble_generator(spec))
         reg = PRegister(n_a=8)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
         v0 = initial_lifted_state(u0, reg)
@@ -270,14 +270,14 @@ class TestRecovery:
             assert recovery_bound(hermitian_split(m), 1.0) >= np.linalg.eigvalsh(m)[-1]
         from qmaxwell.scenarios import scenario_2d_empty
 
-        pair = hermitian_split(assemble_generator_2d(scenario_2d_empty(8, 8).spec))
+        pair = hermitian_split(assemble_generator(scenario_2d_empty(8, 8).spec))
         lam = np.linalg.eigvalsh(pair.h1.real.toarray())[-1]
         assert lam > 0.7
         assert recovery_bound(pair, 1.0) >= lam
 
     def test_recover_at_t_zero(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
-        pair = hermitian_split(assemble_generator_2d(spec))
+        pair = hermitian_split(assemble_generator(spec))
         reg = PRegister(n_a=2)
         u0 = pack_initial_condition(spec, [(Component.EZ, 1, 2, 0, 1.0)])
         lift = initial_lifted_state(u0, reg)
@@ -289,7 +289,7 @@ class TestRecovery:
         a = random_generator(8, rng)
         a = a - a.T
         pair = hermitian_split(a)
-        assert skew_defect(__import__("qmaxwell").operators.SparseOperator.from_dense(a)) < 1e-14
+        assert skew_defect(as_csr(a)) < 1e-14
         reg = PRegister(n_a=1)
         u0 = rng.standard_normal(8)
         lift = initial_lifted_state(u0, reg)
@@ -303,14 +303,14 @@ class TestRecovery:
         # Non-normal boundary part present: recovery is approximate; the
         # band reflects the auxiliary-grid coarseness and is logged here.
         spec = GridSpec(nx=4, ny=4, dim=2)
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         pair = hermitian_split(a)
         reg = PRegister(n_a=3)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
         lift = initial_lifted_state(u0, reg)
         v = evolve_lifted_exact(pair, reg, lift.values, 1.0)
         rec = recover_solution(v, reg, pair, 1.0, norm=lift.norm)
-        exact = expm(a.to_dense() * 1.0) @ u0.values
+        exact = expm(a.toarray() * 1.0) @ u0.values
         rel = np.linalg.norm(rec - exact) / np.linalg.norm(exact)
         print(f"recovery error (4x4, n_a=3, t=1): {rel:.3e}")
         assert rel < 5e-2
@@ -342,7 +342,7 @@ class TestRecovery:
 
     def test_layout_wrapping(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
-        pair = hermitian_split(assemble_generator_2d(spec))
+        pair = hermitian_split(assemble_generator(spec))
         reg = PRegister(n_a=1)
         layout = FieldLayout(spec)
         u0 = pack_initial_condition(spec, [(Component.EZ, 1, 1, 0, 1.0)])

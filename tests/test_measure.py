@@ -24,7 +24,7 @@ from qmaxwell.measure import (
     signed_field_at,
     unit_offset_state,
 )
-from qmaxwell.operators import assemble_generator_2d
+from qmaxwell.operators import assemble_generator
 from qmaxwell.oracle import exact_evolution
 from qmaxwell.trotter import TrotterRunner
 
@@ -68,7 +68,7 @@ class TestOffset:
     def test_superposition_of_evolutions(self):
         # evolve(u0 + c*shift) = evolve(u0) + c*evolve(shift), exactly.
         spec = GridSpec(nx=4, ny=4, dim=2)
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         u0 = impulse_state(spec, 2, 1)
         shifted = apply_offset(u0, Component.EZ, 2.0)
         t = 1.3
@@ -80,15 +80,15 @@ class TestOffset:
 
     def test_uniform_shift_static_under_pmc(self):
         spec = GridSpec(nx=8, ny=8, dim=2)
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         ones = unit_offset_state(FieldLayout(spec), Component.EZ)
-        assert np.max(np.abs(a.matvec(ones.values))) == 0.0
+        assert np.max(np.abs(a @ ones.values)) == 0.0
 
     def test_uniform_shift_evolves_under_pec_edge(self):
         spec = GridSpec(nx=8, ny=8, dim=2, boundaries=Boundaries(xlo="pec"))
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         ones = unit_offset_state(FieldLayout(spec), Component.EZ)
-        assert np.max(np.abs(a.matvec(ones.values))) > 0.1
+        assert np.max(np.abs(a @ ones.values)) > 0.1
 
     def test_remove_offset_at_t_zero(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
@@ -101,7 +101,7 @@ class TestOffset:
     def test_remove_offset_time_mismatch(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
         u0 = impulse_state(spec, 2, 2)
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         evolved = exact_evolution(a, u0, 1.0)
         response = unit_offset_state(u0.layout, Component.EZ)  # t = 0
         with pytest.raises(ValueError):
@@ -194,7 +194,7 @@ class TestSignedFieldPipeline:
         from qmaxwell.operators import symmetrizing_weights
 
         spec = GridSpec(nx=n, ny=n, dim=2)
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         layout = FieldLayout(spec)
         u0 = impulse_state(spec, n // 2, n // 2)
         shifted = apply_offset(u0, Component.EZ, c)

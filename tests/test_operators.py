@@ -1,10 +1,12 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from qmaxwell.errors import GridError
+from qmaxwell.errors import GeometryError, GridError
 from qmaxwell.grid import (
     Boundaries,
     Component,
@@ -16,37 +18,32 @@ from qmaxwell.grid import (
 from qmaxwell.operators import (
     EDGE_TO_NODE,
     NODE_TO_EDGE,
-    SparseOperator,
-    apply_scatterer,
+    apply_weights,
+    as_csr,
     assemble_generator,
-    assemble_generator_2d,
-    assemble_generator_3d,
     scatterer_frozen_indices,
     skew_defect,
     staggered_derivative,
     symmetrizing_weights,
 )
+from qmaxwell.scenarios import SCENARIO_NAMES, build_scenario
 
 from stencil_oracle import apply_curl_2d, apply_curl_3d
 
 
-class TestSparseOperator:
+class TestAsCsr:
     def test_dedup_and_zero_drop(self):
-        op = SparseOperator.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [1.0, 2.0, 0.0])
-        assert op.entries() == [(0, 1, 3.0)]
+        raw = sp.csr_matrix(([2.0, 1.0, 0.0], [1, 1, 0], [0, 2, 3]), shape=(2, 2))
+        op = as_csr(raw)
+        assert isinstance(op, sp.csr_matrix) and op.has_canonical_format
+        assert (op.indptr.tolist(), op.indices.tolist(), op.data.tolist()) == ([0, 1, 1], [1], [3.0])
+        assert raw.nnz == 3  # the input is copied, not canonicalized in place
 
     def test_round_trip_dense(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((5, 5)) * (rng.random((5, 5)) > 0.5)
-        op = SparseOperator.from_dense(a)
-        assert np.array_equal(op.to_dense(), a)
-
-    def test_dump_triplets(self, tmp_path):
-        op = SparseOperator.from_coo(2, 2, [0, 1], [1, 0], [1.5, -2.0])
-        path = tmp_path / "a.txt"
-        op.dump_triplets(path)
-        lines = path.read_text().splitlines()
-        assert lines == ["0 1 1.5", "1 0 -2.0"]
+        op = as_csr(a)
+        assert np.array_equal(op.toarray(), a)
 
 
 class TestStaggeredDerivative:
@@ -57,37 +54,37 @@ class TestStaggeredDerivative:
     def test_constant_in_kernel_interior(self):
         # Derivative of a constant vanishes on interior rows of both kinds.
         for orientation in (NODE_TO_EDGE, EDGE_TO_NODE):
-            d = staggered_derivative(8, 0.5, orientation).to_dense()
+            d = staggered_derivative(8, 0.5, orientation).toarray()
             interior = d[1:-1] @ np.ones(8)
             assert np.allclose(interior, 0.0)
 
     def test_node_to_edge_ramp(self):
         # Unit ramp on nodes differentiates to one on every edge sample.
-        d = staggered_derivative(4, 1.0, NODE_TO_EDGE).to_dense()
+        d = staggered_derivative(4, 1.0, NODE_TO_EDGE).toarray()
         out = d @ np.arange(4.0)
         assert np.allclose(out[:3], 1.0)
         assert out[3] == 0.0  # pad row
 
     def test_edge_to_node_interior_row(self):
-        d = staggered_derivative(4, 1.0, EDGE_TO_NODE).to_dense()
+        d = staggered_derivative(4, 1.0, EDGE_TO_NODE).toarray()
         e = np.array([0.0, 1.0, 2.0, 0.0])
         assert d[1] @ e == 1.0
         assert d[2] @ e == 1.0
 
     def test_pmc_boundary_doubles_coefficient(self):
         d = staggered_derivative(4, 0.5, EDGE_TO_NODE, bc_lo="pmc", bc_hi="pmc")
-        dense = d.to_dense()
+        dense = d.toarray()
         assert dense[0, 0] == 2.0 / 0.5
         assert dense[-1, -2] == -2.0 / 0.5
 
     def test_pec_boundary_zeroes_row(self):
-        dense = staggered_derivative(4, 1.0, EDGE_TO_NODE, bc_lo="pec", bc_hi="pec").to_dense()
+        dense = staggered_derivative(4, 1.0, EDGE_TO_NODE, bc_lo="pec", bc_hi="pec").toarray()
         assert not dense[0].any()
         assert not dense[-1].any()
 
     def test_pad_column_untouched(self):
         for orientation in (NODE_TO_EDGE, EDGE_TO_NODE):
-            dense = staggered_derivative(8, 1.0, orientation).to_dense()
+            dense = staggered_derivative(8, 1.0, orientation).toarray()
             if orientation == EDGE_TO_NODE:
                 assert not dense[:, -1].any()
             else:
@@ -99,21 +96,17 @@ def _random_state(spec, rng):
 
 
 class TestGenerator2D:
-    def test_wrong_dim(self):
-        with pytest.raises(GridError):
-            assemble_generator_2d(GridSpec(nx=4, ny=4, nz=4, dim=3))
-
     def test_uniform_ez_is_static(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         layout = FieldLayout(spec)
         u = np.zeros(layout.state_len)
         u[: layout.block_size] = 1.0
-        assert np.allclose(a.matvec(u), 0.0)
+        assert np.allclose(a @ u, 0.0)
 
     def test_block_sparsity_structure(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
-        dense = assemble_generator_2d(spec).to_dense()
+        dense = assemble_generator(spec).toarray()
         n = 16
         assert not dense.diagonal().any()
 
@@ -130,41 +123,41 @@ class TestGenerator2D:
     @pytest.mark.parametrize("n", [4, 8])
     def test_matches_stencil_oracle_empty(self, n):
         spec = GridSpec(nx=n, ny=n, dim=2)
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         rng = np.random.default_rng(7)
         for _ in range(20):
             u = _random_state(spec, rng)
-            assert np.max(np.abs(a.matvec(u) - apply_curl_2d(spec, u))) < 1e-12
+            assert np.max(np.abs(a @ u - apply_curl_2d(spec, u))) < 1e-12
 
     def test_matches_stencil_oracle_pec_faces(self):
         spec = GridSpec(
             nx=8, ny=8, dim=2, boundaries=Boundaries(xlo="pec", yhi="pec")
         )
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         rng = np.random.default_rng(8)
         for _ in range(10):
             u = _random_state(spec, rng)
-            assert np.max(np.abs(a.matvec(u) - apply_curl_2d(spec, u))) < 1e-12
+            assert np.max(np.abs(a @ u - apply_curl_2d(spec, u))) < 1e-12
 
     def test_matches_stencil_oracle_anisotropic(self):
         spec = GridSpec(nx=4, ny=8, dim=2, dx=0.5, dy=0.25, epsilon=2.0, mu=0.5)
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         rng = np.random.default_rng(9)
         for _ in range(10):
             u = _random_state(spec, rng)
-            assert np.max(np.abs(a.matvec(u) - apply_curl_2d(spec, u))) < 1e-12
+            assert np.max(np.abs(a @ u - apply_curl_2d(spec, u))) < 1e-12
 
     def test_skew_defect_recorded(self):
         # The doubled ghost coefficients break exact skew symmetry at walls.
         spec = GridSpec(nx=8, ny=8, dim=2)
-        defect = skew_defect(assemble_generator_2d(spec))
+        defect = skew_defect(assemble_generator(spec))
         assert defect > 1e-3
 
 
 class TestGenerator3D:
     def test_pad_blocks_zero(self):
         spec = GridSpec(nx=2, ny=2, nz=2, dim=3)
-        dense = assemble_generator_3d(spec).to_dense()
+        dense = assemble_generator(spec).toarray()
         assert dense.shape == (64, 64)
         assert not dense[48:, :].any()
         assert not dense[:, 48:].any()
@@ -172,25 +165,25 @@ class TestGenerator3D:
     @pytest.mark.parametrize("shape", [(2, 2, 2), (4, 4, 4)])
     def test_matches_stencil_oracle(self, shape):
         spec = GridSpec(nx=shape[0], ny=shape[1], nz=shape[2], dim=3)
-        a = assemble_generator_3d(spec)
+        a = assemble_generator(spec)
         rng = np.random.default_rng(11)
         for _ in range(10):
             u = _random_state(spec, rng)
-            assert np.max(np.abs(a.matvec(u) - apply_curl_3d(spec, u))) < 1e-12
+            assert np.max(np.abs(a @ u - apply_curl_3d(spec, u))) < 1e-12
 
     def test_matches_stencil_oracle_mixed_faces(self):
         spec = GridSpec(
             nx=4, ny=4, nz=4, dim=3,
             boundaries=Boundaries(zlo="pec", zhi="pec"),
         )
-        a = assemble_generator_3d(spec)
+        a = assemble_generator(spec)
         rng = np.random.default_rng(12)
         for _ in range(5):
             u = _random_state(spec, rng)
-            assert np.max(np.abs(a.matvec(u) - apply_curl_3d(spec, u))) < 1e-12
+            assert np.max(np.abs(a @ u - apply_curl_3d(spec, u))) < 1e-12
 
     def test_transpose_comparison_measured(self):
-        defect = skew_defect(assemble_generator_3d(GridSpec(nx=4, ny=4, nz=4, dim=3)))
+        defect = skew_defect(assemble_generator(GridSpec(nx=4, ny=4, nz=4, dim=3)))
         assert defect >= 0.0  # value feeds the lift tests; recorded, not assumed
 
 
@@ -198,12 +191,11 @@ class TestScatterer:
     def scatter_spec(self, n=16, lo=(4, 4), hi=(12, 12)):
         return GridSpec(nx=n, ny=n, dim=2, scatterer=ScattererBox(lo=lo, hi=hi))
 
-    def test_empty_body_is_noop(self):
-        base = GridSpec(nx=8, ny=8, dim=2)
-        a = assemble_generator_2d(base)
-        spec = GridSpec(nx=8, ny=8, dim=2, scatterer=ScattererBox((3, 3), (3, 3)))
-        b = apply_scatterer(a, spec)
-        assert np.array_equal(a.to_dense(), b.to_dense())
+    def test_empty_body_rejected(self):
+        # A point and a PEC plate enclose no sample; they are refused, not ignored.
+        for lo, hi in (((3, 3), (3, 3)), ((4, 4), (4, 12))):
+            with pytest.raises(GeometryError):
+                GridSpec(nx=16, ny=16, dim=2, scatterer=ScattererBox(lo, hi, faces="pec"))
 
     def test_zeroed_row_count(self):
         spec = self.scatter_spec()
@@ -211,44 +203,38 @@ class TestScatterer:
         # Independent count from the sample positions: interior nodes are
         # 7x7 for E_z and 7x8 for each half-offset magnetic component.
         assert len(frozen) == 7 * 7 + 7 * 8 + 8 * 7
-        dense = assemble_generator_2d(spec).to_dense()
+        dense = assemble_generator(spec).toarray()
         assert not dense[frozen, :].any()
         assert not dense[:, frozen].any()
 
     def test_matches_stencil_oracle(self):
         spec = GridSpec(nx=8, ny=8, dim=2, scatterer=ScattererBox((2, 2), (6, 6)))
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         rng = np.random.default_rng(13)
         for _ in range(20):
             u = _random_state(spec, rng)
-            assert np.max(np.abs(a.matvec(u) - apply_curl_2d(spec, u))) < 1e-12
+            assert np.max(np.abs(a @ u - apply_curl_2d(spec, u))) < 1e-12
 
     def test_matches_stencil_oracle_pec_body(self):
         spec = GridSpec(
             nx=8, ny=8, dim=2, scatterer=ScattererBox((2, 2), (6, 6), faces="pec")
         )
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         rng = np.random.default_rng(14)
         for _ in range(10):
             u = _random_state(spec, rng)
-            assert np.max(np.abs(a.matvec(u) - apply_curl_2d(spec, u))) < 1e-12
+            assert np.max(np.abs(a @ u - apply_curl_2d(spec, u))) < 1e-12
 
     def test_interior_is_fixed_point_of_flow(self):
         from scipy.linalg import expm
 
         spec = self.scatter_spec()
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         u0 = pack_initial_condition(spec, [(Component.EZ, 4, 4, 0, 1.0)])
-        flow = expm(a.to_dense() * 2.5)
+        flow = expm(a.toarray() * 2.5)
         ut = flow @ u0.values
         frozen = scatterer_frozen_indices(spec)
         assert np.max(np.abs(ut[frozen])) == 0.0
-
-    def test_apply_without_scatterer_errors(self):
-        base = GridSpec(nx=8, ny=8, dim=2)
-        a = assemble_generator_2d(base)
-        with pytest.raises(GridError):
-            apply_scatterer(a, base)
 
 
 def _face_mix_specs():
@@ -308,10 +294,54 @@ def test_weights_match_per_sample_loop(spec):
 
 
 def test_skew_defect_accepts_any_matrix_form():
-    a = assemble_generator_2d(
+    a = assemble_generator(
         GridSpec(nx=8, ny=8, dim=2, scatterer=ScattererBox((2, 2), (6, 6)))
     )
     expected = skew_defect(a)
     assert expected > 0
     assert skew_defect(a.tocsr()) == expected
-    assert skew_defect(a.to_dense()) == expected
+    assert skew_defect(a.toarray()) == expected
+
+
+@pytest.mark.parametrize("spec", list(_face_mix_specs()))
+def test_generator_is_canonical(spec):
+    """Raw and weighted generators are canonical CSR: sorted, no duplicates, no stored zeros."""
+    a = assemble_generator(spec)
+    for m in (a, apply_weights(a, symmetrizing_weights(spec))):
+        assert isinstance(m, sp.csr_matrix) and m.has_canonical_format
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        assert (np.diff(rows * m.shape[1] + m.indices) > 0).all()
+        assert (m.data != 0).all()
+
+
+def _csr_digest(m) -> str:
+    h = hashlib.sha256()
+    for arr in (m.indptr.astype(np.int64), m.indices.astype(np.int64), m.data):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of each scenario's generator CSR arrays, raw and weighted: a change
+# to any assembled value, or to the order it is stored in, fails the test.
+_GENERATOR_DIGESTS = {
+    "2d-empty": (
+        "359a6e7b687371e5cb8331817d2eeb486527c2331bb9631d66eb05ee77e60be0",
+        "5e02aa80829d8945ccf69b61f3953aa3b51feea5ea73a623b9e979fb030b141b",
+    ),
+    "2d-scatterer": (
+        "82b6c73d1369a9aa78f0371f60a97c9cf84192e9eb1b8b078d51d7b2e072efa1",
+        "6147c3e585e5a9fbd25a3ac3ee4acddaaf0768164f13358b150ac296dbeec167",
+    ),
+    "3d-empty": (
+        "2b78a5222bdfc7ebdb7ae480ef8f8147a16da15709543d91e29d85d78c85d897",
+        "e04e3a58044ebc4978ecec55e3496e04d79bece8ce40bae51f4ccb363f1dc98b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_generator_arrays_pinned(name):
+    spec = build_scenario(name).spec
+    a = assemble_generator(spec)
+    weighted = apply_weights(a, symmetrizing_weights(spec))
+    assert (_csr_digest(a), _csr_digest(weighted)) == _GENERATOR_DIGESTS[name]

@@ -14,7 +14,7 @@ from qmaxwell.lifting import (
     hermitian_split,
     initial_lifted_state,
 )
-from qmaxwell.operators import assemble_generator_2d
+from qmaxwell.operators import assemble_generator
 from qmaxwell.trotter import (
     TrotterRunner,
     amplitude_prep_gates,
@@ -137,7 +137,7 @@ class TestStepStructure:
 class TestEmittedCircuit:
     def test_zero_steps_prepares_lifted_state(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         pair = hermitian_split(a)
         reg = PRegister(n_a=2)
         dt = 0.1
@@ -154,7 +154,7 @@ class TestEmittedCircuit:
 
     def test_metadata_recorded(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
-        pair = hermitian_split(assemble_generator_2d(spec))
+        pair = hermitian_split(assemble_generator(spec))
         c = emit_trotter_circuit(
             [], compile_blocks(pair.h2, 0.1), PRegister(n_a=1), 0.1, 3,
             metadata={"scenario": "2d-empty"},
@@ -164,7 +164,7 @@ class TestEmittedCircuit:
 
     def test_runner_matches_emitted_circuit(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         reg = PRegister(n_a=1)
         dt, steps = 0.1, 4
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
@@ -185,7 +185,7 @@ class TestEmittedCircuit:
         from qmaxwell.operators import symmetrizing_weights
 
         spec = GridSpec(nx=8, ny=8, dim=2, scatterer=ScattererBox(lo=(2, 2), hi=(6, 6)))
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         w = symmetrizing_weights(spec)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
         runner = TrotterRunner.from_generator(a, u0, PRegister(n_a=1), 0.1, weights=w)
@@ -196,7 +196,7 @@ class TestEmittedCircuit:
     def test_first_order_error_scaling(self):
         # Distance to the exact lifted evolution scales like t*dt.
         spec = GridSpec(nx=4, ny=4, dim=2)
-        a = assemble_generator_2d(spec)
+        a = assemble_generator(spec)
         reg = PRegister(n_a=1)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
         t = 1.0
