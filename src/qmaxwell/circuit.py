@@ -16,14 +16,15 @@ Fourier transform need):
 * ``swap``       qubit exchange
 
 Basis convention: bit ``i`` of the state index is qubit ``i``; auxiliary
-qubits occupy the high bits.  Statevectors are immutable values; gates apply
-strictly in sequence.
+qubits occupy the high bits.  A statevector is a plain complex array of
+length ``2**n_qubits``.  No gate writes to the array it is given, and gates
+apply strictly in sequence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +76,6 @@ def rz(q: int, theta: float) -> Gate:
 class Circuit:
     n_qubits: int
     gates: tuple[Gate, ...]
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for g in self.gates:
@@ -83,29 +83,6 @@ class Circuit:
                 raise QmaxwellError(
                     f"gate {g.kind} on {g.qubits} out of range for {self.n_qubits} qubits"
                 )
-
-
-@dataclass(frozen=True)
-class StateVector:
-    values: np.ndarray
-    n_qubits: int
-
-    @staticmethod
-    def from_array(values: np.ndarray) -> "StateVector":
-        n = int(math.log2(len(values)))
-        if 1 << n != len(values):
-            raise QmaxwellError("statevector length must be a power of two")
-        return StateVector(np.asarray(values, dtype=complex), n)
-
-    @staticmethod
-    def basis(n_qubits: int, index: int = 0) -> "StateVector":
-        v = np.zeros(1 << n_qubits, dtype=complex)
-        v[index] = 1.0
-        return StateVector(v, n_qubits)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 def _apply_x(psi, q):
@@ -183,26 +160,25 @@ def apply_gate(psi: np.ndarray, g: Gate) -> np.ndarray:
     raise QmaxwellError(f"unknown gate kind {g.kind!r}")
 
 
-def simulate(circuit: Circuit, psi0: StateVector, check_norm: bool = True) -> StateVector:
-    """Exact amplitude evolution of the circuit on ``psi0``.
+def simulate(circuit: Circuit, psi: np.ndarray, check_norm: bool = True) -> np.ndarray:
+    """Exact amplitude evolution of the circuit on the statevector ``psi``.
 
     Amplitude updates for a single gate may be partitioned internally, but
     gates always apply in sequence.  The norm is checked after every gate
     when ``check_norm`` is set.
     """
-    if psi0.n_qubits != circuit.n_qubits:
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (1 << circuit.n_qubits,):
         raise QmaxwellError(
-            f"state on {psi0.n_qubits} qubits does not fit circuit on "
-            f"{circuit.n_qubits}"
+            f"state of shape {psi.shape} does not fit circuit on {circuit.n_qubits} qubits"
         )
-    psi = psi0.values
-    ref = np.linalg.norm(psi)
+    ref = np.linalg.norm(psi) if check_norm else 0.0
     for g in circuit.gates:
         psi = apply_gate(psi, g)
         if check_norm:
             if abs(np.linalg.norm(psi) - ref) > 1e-10 * max(ref, 1.0):
                 raise QmaxwellError(f"norm drifted after {g.kind} on {g.qubits}")
-    return StateVector(psi, circuit.n_qubits)
+    return psi
 
 
 def circuit_unitary(circuit: Circuit, max_qubits: int = 12) -> np.ndarray:

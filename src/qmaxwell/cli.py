@@ -166,17 +166,14 @@ class _ProbeWriter:
             self.row(time, p, v, abs(v), 1 if v >= 0 else -1, "exact")
 
     def signed(self, time, pipe, shots, rng):
-        """Rows measured on a statevector; an indeterminate shot-mode sign gives value=nan, sign=0."""
+        """Rows measured on a statevector; an indeterminate sign gives value=nan, sign=0."""
         for p in self.probes:
             try:
                 r = signed_field_at(p, pipe, shots, rng)
                 self.row(time, p, r.value, r.magnitude, r.sign, r.shots_used)
             except IndeterminateSignError:
                 flat = pipe.layout.flat_index(p.component, p.i, p.j, p.k)
-                est = magnitude_at(
-                    pipe.psi, flat, pipe.ancilla_index, pipe.system_dim,
-                    pipe.probe_scale(flat), shots, rng,
-                )
+                est = magnitude_at(pipe.amps, flat, pipe.scales[flat], shots, rng)
                 self.row(time, p, float("nan"), est.value, 0, est.shots_used)
 
 
@@ -219,8 +216,7 @@ def _circuit_backend(config, scenario, a, u0, dt, probes, manifest):
     c = config.offset_c
     sim_u0 = apply_offset(u0, reference.component, c) if probes else u0
     runner = TrotterRunner.from_generator(
-        a, sim_u0, _register(config), dt, u0.layout, check_norm=False,
-        weights=_weights(config, scenario),
+        a, sim_u0, _register(config), dt, _weights(config, scenario)
     )
     manifest["blocks_per_step"] = {
         "skew_part": len(runner.h2_blocks),
@@ -336,9 +332,7 @@ def execute_stats(config: RunConfig) -> dict:
     _, h1_blocks, h2_blocks = compile_generator(
         assemble_generator(scenario.spec), dt, _weights(config, scenario)
     )
-    c = emit_trotter_circuit(
-        h1_blocks, h2_blocks, _register(config), dt, steps, metadata={"scenario": scenario.name}
-    )
+    c = emit_trotter_circuit(h1_blocks, h2_blocks, _register(config), dt, steps)
     stats = gate_stats(c)
     stats["steps"] = steps
     stats["n_qubits"] = c.n_qubits

@@ -117,7 +117,8 @@ class ScattererBox:
     samples on the wall planes stay active, except that PEC ``faces`` pin the
     tangential ``E_z`` on the outline.  ``faces`` is the condition the body's
     lateral walls impose on the surrounding field.  The box must span at
-    least one cell on both axes; a point or a plate is a ``GeometryError``.
+    least one cell on both axes; a point or a plate is a ``GeometryError``,
+    and so (in ``GridSpec``) is a PMC box one cell wide on both axes.
     """
 
     lo: tuple[int, int]
@@ -176,6 +177,10 @@ class GridSpec:
                 raise GeometryError(
                     "scatterer walls must lie strictly inside the outer boundary"
                 )
+            if self.scatterer.faces == PMC and all(h - l == 1 for l, h in zip(lo, hi)):
+                # No sample lies strictly inside, and no wall node has an
+                # interior neighbour to patch: the box would change nothing.
+                raise GeometryError("a PMC scatterer one cell wide on both axes has no effect")
 
     @property
     def shape(self) -> tuple[int, int, int]:

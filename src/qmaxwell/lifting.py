@@ -158,45 +158,16 @@ def evolve_lifted_exact(pair: HermitianPair, reg: PRegister, v0: np.ndarray, t: 
     return np.fft.fft(branches, axis=0).reshape(-1)
 
 
-class LiftedExactRunner:
-    """Step runner on the lifted state without a circuit: ``evolve_lifted_exact`` by ``steps * dt``.
-
-    ``weights`` runs the lift in the similarity-scaled variables of
-    ``TrotterRunner.from_generator``; recovery maps back either way.
-    """
-
-    def __init__(self, a, u0: FieldState, reg: PRegister, dt: float, weights: np.ndarray | None = None):
-        self.pair = hermitian_split(a if weights is None else apply_weights(a, weights))
-        lifted = initial_lifted_state(u0, reg, weights)
-        self.values, self.norm = lifted.values, lifted.norm
-        self.reg, self.dt, self.layout, self.weights = reg, dt, u0.layout, weights
-        self.steps_done = 0
-
-    @property
-    def time(self) -> float:
-        return self.steps_done * self.dt
-
-    def advance(self, steps: int) -> None:
-        if steps:
-            self.values = evolve_lifted_exact(self.pair, self.reg, self.values, steps * self.dt)
-        self.steps_done += steps
-
-    def recover(self, mode: str = "single"):
-        return recover_solution(
-            self.values, self.reg, self.pair, self.time, self.norm, self.layout, mode, self.weights
-        )
-
-
 _BOUND_HORIZON = 1.0
 
 
-def recovery_bound(pair: HermitianPair, t: float, bound_horizon: float = _BOUND_HORIZON) -> float:
+def recovery_bound(pair: HermitianPair, t: float) -> float:
     """Minimum usable recovery point: ``max(0, lambda_max(h1) * t_heuristic)``.
 
     ``lambda_max(h1)`` enters through its Gershgorin upper bound
     ``max_i (h_ii + sum_{j != i} |h_ij|)``, so the guard is conservative.
 
-    The horizon entering the bound is capped at ``bound_horizon``: the
+    The horizon entering the bound is capped at ``_BOUND_HORIZON``: the
     worst-case wavefront estimate ``lambda_max * t`` assumes the symmetric
     part stays fully occupied, which the localized boundary modes of the
     discretized curl never do; an uncapped bound would refuse every long
@@ -207,7 +178,75 @@ def recovery_bound(pair: HermitianPair, t: float, bound_horizon: float = _BOUND_
     h = pair.h1.real
     diag = h.diagonal()
     edge = np.max(np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag) + diag)
-    return max(0.0, float(edge) * min(t, bound_horizon))
+    return max(0.0, float(edge) * min(t, _BOUND_HORIZON))
+
+
+def feasible_bound(pair: HermitianPair, reg: PRegister, t: float) -> float:
+    """The recovery bound at ``t``, once the recovery point ``p*`` is known to exceed it.
+
+    ``p*`` is the largest auxiliary grid point; a window whose ``p*`` does not
+    exceed the bound raises :class:`RecoveryInfeasibleError`.
+    """
+    bound = recovery_bound(pair, t)
+    p_star = reg.p_values[-1]
+    if p_star <= bound:
+        raise RecoveryInfeasibleError(
+            f"largest auxiliary point {p_star:.4g} does not exceed the spectral "
+            f"bound {bound:.4g}; extend the p window beyond {bound:.4g}",
+            required_p=bound,
+        )
+    return bound
+
+
+class LiftedRunner:
+    """The lifted state of ``D u0`` and its read-back; subclasses supply ``advance``.
+
+    ``psi`` is the unit-norm joint state (auxiliary index outer), ``norm`` its
+    physical scale and ``weights`` the similarity scaling ``D`` (identity when
+    ``None``) under which ``pair`` was split; recovery maps back to the
+    original variables either way.
+    """
+
+    def __init__(
+        self, pair: HermitianPair, u0: FieldState, reg: PRegister, dt: float,
+        weights: np.ndarray | None = None,
+    ):
+        lifted = initial_lifted_state(u0, reg, weights)
+        self.pair, self.psi, self.norm = pair, lifted.values, lifted.norm
+        self.reg, self.dt, self.layout, self.weights = reg, dt, u0.layout, weights
+        self.steps_done = 0
+
+    @property
+    def time(self) -> float:
+        return self.steps_done * self.dt
+
+    def recover(self, mode: str = "single") -> FieldState:
+        """Physical field at the current time."""
+        return recover_solution(
+            self.psi, self.reg, self.pair, self.time, self.norm, self.layout, mode, self.weights
+        )
+
+    def readout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``p*`` slice of ``psi`` and each sample's physical scale ``e^{p*} * norm / w``."""
+        feasible_bound(self.pair, self.reg, self.time)
+        scale = math.exp(self.reg.p_values[-1]) * self.norm
+        amps = self.psi.reshape(self.reg.n_points, -1)[-1]
+        if self.weights is None:
+            return amps, np.full(amps.shape, scale)
+        return amps, scale / self.weights
+
+
+class LiftedExactRunner(LiftedRunner):
+    """Lifted runner without a circuit: ``evolve_lifted_exact`` by ``steps * dt``."""
+
+    def __init__(self, a, u0: FieldState, reg: PRegister, dt: float, weights: np.ndarray | None = None):
+        pair = hermitian_split(a if weights is None else apply_weights(a, weights))
+        super().__init__(pair, u0, reg, dt, weights)
+
+    def advance(self, steps: int) -> None:
+        if steps:
+            self.psi = evolve_lifted_exact(self.pair, self.reg, self.psi, steps * self.dt)
+        self.steps_done += steps
 
 
 def recover_solution(
@@ -231,14 +270,8 @@ def recover_solution(
     p-discretization noise, is dropped), else the real vector.
     """
     v = np.asarray(v, dtype=complex).reshape(reg.n_points, -1)
-    bound = recovery_bound(pair, t)
+    bound = feasible_bound(pair, reg, t)
     p = reg.p_values
-    if p[-1] <= bound:
-        raise RecoveryInfeasibleError(
-            f"largest auxiliary point {p[-1]:.4g} does not exceed the spectral "
-            f"bound {bound:.4g}; extend the p window beyond {bound:.4g}",
-            required_p=bound,
-        )
     if mode == "single":
         u = math.exp(p[-1]) * norm * v[-1]
     elif mode == "lsq":

@@ -1,5 +1,10 @@
 """Sign-resolved probe readout from simulated quantum states.
 
+Probes read the recovery slice of a lifted runner: ``LiftedRunner.readout``
+returns its amplitudes and the physical scale of each sample, and owns the
+recovery-point rule and its feasibility guard.  This module only turns
+amplitudes into signed field values.
+
 A statevector is only defined up to a global phase, so absolute field signs
 are pinned by shifting one reference component positive before evolving: the
 reference amplitude then never changes sign, every other sign is chained to
@@ -17,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndeterminateSignError, QmaxwellError, RecoveryInfeasibleError
+from .errors import IndeterminateSignError, QmaxwellError
 from .grid import Component, FieldLayout, FieldState
-from .lifting import PRegister, recovery_bound
 
 EXACT = "exact"
 _EPS = np.finfo(float).eps
@@ -112,21 +116,19 @@ def remove_offset(
 
 
 def magnitude_at(
-    psi: np.ndarray,
+    amps: np.ndarray,
     flat_index: int,
-    ancilla_index: int,
-    system_dim: int,
     scale: float,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> MagnitudeEstimate:
-    """|amplitude| at one probe slot, rescaled to physical units.
+    """|amplitude| at one probe slot of the recovery slice, rescaled to physical units.
 
-    ``scale`` carries the recovery factor e^{p*} times the recorded global
-    norm.  With ``shots`` the estimate comes from simulated measurement
-    frequencies with its binomial standard error.
+    ``scale`` is the slot's physical scale from ``LiftedRunner.readout``.
+    With ``shots`` the estimate comes from simulated measurement frequencies
+    with its binomial standard error.
     """
-    amp = psi[ancilla_index * system_dim + flat_index]
+    amp = amps[flat_index]
     if shots is None:
         return MagnitudeEstimate(abs(amp) * scale, 0.0, EXACT)
     rng = rng or np.random.default_rng()
@@ -142,6 +144,11 @@ def magnitude_at(
 
 
 def _aligned_amplitudes(psi, ref_index, target_index, phase_tol):
+    """Reference modulus and target amplitude in the reference's phase frame.
+
+    The target must be real in that frame (relative phase 0 or pi); when it
+    is not, or the reference vanishes, the sign is indeterminate.
+    """
     a_r = psi[ref_index]
     a_t = psi[target_index]
     if abs(a_r) == 0.0:
@@ -150,14 +157,16 @@ def _aligned_amplitudes(psi, ref_index, target_index, phase_tol):
             abs(a_t) ** 2 / 2,
             abs(a_t) ** 2 / 2,
         )
-    phase = a_r / abs(a_r)
-    at = a_t * phase.conjugate()
+    r = abs(a_r)
+    at = a_t * (a_r / r).conjugate()
     if abs(at.imag) > phase_tol * max(abs(at), 1.0e-30):
-        raise ValueError(
+        raise IndeterminateSignError(
             f"relative phase of probe amplitudes is not 0 or pi "
-            f"(residual imaginary part {at.imag:.3e})"
+            f"(residual imaginary part {at.imag:.3e})",
+            abs(r + at) ** 2 / 2,
+            abs(r - at) ** 2 / 2,
         )
-    return abs(a_r), at.real
+    return r, at.real
 
 
 def relative_sign(
@@ -171,8 +180,9 @@ def relative_sign(
     """Interference comparison of two real amplitudes: +1 same sign, -1 opposite.
 
     Compares estimators of the squared sum and squared difference of the two
-    magnitudes; whichever dominates decides the sign.  A tie (exact mode) or
-    a gap below three combined standard errors (shot mode) is indeterminate.
+    magnitudes; whichever dominates decides the sign.  A relative phase other
+    than 0 or pi, a tie (exact mode) or a gap below three combined standard
+    errors (shot mode) is indeterminate.
     """
     ar, at = _aligned_amplitudes(psi, ref_index, target_index, phase_tol)
     e_plus = (ar + at) ** 2 / 2.0
@@ -198,31 +208,18 @@ def relative_sign(
 
 @dataclass(frozen=True)
 class PipelineState:
-    """Read-only measurement context for one recovered instant."""
+    """Read-only measurement context for one recovered instant.
 
-    psi: np.ndarray
+    ``amps`` is the runner's recovery slice and ``scales`` the physical scale
+    of each of its samples (see ``LiftedRunner.readout``).
+    """
+
+    amps: np.ndarray
+    scales: np.ndarray
     layout: FieldLayout
-    reg: PRegister
-    scale: float
-    time: float
     offset_c: float
     offset_response: FieldState
     reference: ProbeRequest
-    weights: np.ndarray | None = None
-
-    @property
-    def system_dim(self) -> int:
-        return self.layout.state_len
-
-    @property
-    def ancilla_index(self) -> int:
-        return self.reg.n_points - 1
-
-    def probe_scale(self, flat_index: int) -> float:
-        """Physical rescale for one slot (undoes a similarity weighting)."""
-        if self.weights is None:
-            return self.scale
-        return self.scale / float(self.weights[flat_index])
 
 
 def pipeline_state(
@@ -231,25 +228,9 @@ def pipeline_state(
     offset_response: FieldState,
     reference: ProbeRequest,
 ) -> PipelineState:
-    """Measurement context from a step runner at its current time."""
-    bound = recovery_bound(runner.pair, runner.time)
-    p_star = runner.reg.p_values[-1]
-    if p_star <= bound:
-        raise RecoveryInfeasibleError(
-            f"recovery point {p_star:.4g} below spectral bound {bound:.4g}",
-            required_p=bound,
-        )
-    return PipelineState(
-        psi=runner.psi.values,
-        layout=runner.layout,
-        reg=runner.reg,
-        scale=math.exp(p_star) * runner.norm,
-        time=runner.time,
-        offset_c=offset_c,
-        offset_response=offset_response,
-        reference=reference,
-        weights=runner.weights,
-    )
+    """Measurement context from a lifted runner at its current time."""
+    amps, scales = runner.readout()
+    return PipelineState(amps, scales, runner.layout, offset_c, offset_response, reference)
 
 
 def signed_field_at(
@@ -270,22 +251,13 @@ def signed_field_at(
     flat_r = layout.flat_index(
         pipe.reference.component, pipe.reference.i, pipe.reference.j, pipe.reference.k
     )
-    est = magnitude_at(
-        pipe.psi,
-        flat_t,
-        pipe.ancilla_index,
-        pipe.system_dim,
-        pipe.probe_scale(flat_t),
-        shots,
-        rng,
-    )
-    base = pipe.ancilla_index * pipe.system_dim
+    est = magnitude_at(pipe.amps, flat_t, pipe.scales[flat_t], shots, rng)
     if request == pipe.reference:
         sign = 1
-    elif shots is None and abs(pipe.psi[base + flat_t]) <= _EPS * abs(pipe.psi[base + flat_r]):
+    elif shots is None and abs(pipe.amps[flat_t]) <= _EPS * abs(pipe.amps[flat_r]):
         sign = 1  # zero to rounding: sign is immaterial
     else:
-        sign = relative_sign(pipe.psi, base + flat_r, base + flat_t, shots, rng)
+        sign = relative_sign(pipe.amps, flat_r, flat_t, shots, rng)
     raw = sign * est.value
     correction = pipe.offset_c * pipe.offset_response.at(
         request.component, request.i, request.j, request.k

@@ -150,7 +150,6 @@ def trotter_error_table(
     times,
     reg: PRegister,
     recovery_mode: str = "single",
-    check_norm: bool = False,
     weights: np.ndarray | None = None,
 ) -> ErrorTable:
     """Run the circuit pipeline over (dt, T) pairs and tabulate recovery errors.
@@ -163,7 +162,7 @@ def trotter_error_table(
     times = sorted(times)
     rows = []
     for dt in dts:
-        runner = TrotterRunner.from_generator(a, u0, reg, dt, layout, check_norm, weights)
+        runner = TrotterRunner.from_generator(a, u0, reg, dt, weights)
         for t_target in times:
             runner.advance(grid_step(t_target, dt) - runner.steps_done)
             recovered = runner.recover(mode=recovery_mode)

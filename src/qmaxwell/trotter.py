@@ -1,5 +1,9 @@
 """First-order product circuits for the lifted dynamics, plus a step runner.
 
+``TrotterRunner`` is a :class:`~qmaxwell.lifting.LiftedRunner`: the base owns
+the lifted state, the clock, recovery and probe readout, and the runner only
+advances the state by simulating its compiled step circuit.
+
 One step applies every block of the skew part, then conjugates the symmetric
 part's blocks by the auxiliary Fourier transform.  In frequency space the
 symmetric generator is scaled by the signed frequency of the auxiliary
@@ -13,7 +17,6 @@ between blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,19 +37,12 @@ from .circuit import (
     X,
     Circuit,
     Gate,
-    StateVector,
     dagger,
     rz,
     simulate,
 )
-from .grid import FieldLayout, FieldState
-from .lifting import (
-    HermitianPair,
-    PRegister,
-    hermitian_split,
-    initial_lifted_state,
-    recover_solution,
-)
+from .grid import FieldState
+from .lifting import HermitianPair, LiftedRunner, PRegister, hermitian_split
 from .operators import apply_weights
 
 # Fixed shuffle seed for the canonical block order: a decohered order keeps
@@ -247,7 +243,6 @@ def emit_trotter_circuit(
     dt: float,
     steps: int,
     n_sys: int | None = None,
-    metadata: dict | None = None,
 ) -> Circuit:
     """Full circuit: auxiliary profile prep, then ``steps`` product steps.
 
@@ -267,43 +262,37 @@ def emit_trotter_circuit(
     step = step_gates(blocks_h1, blocks_h2, reg, n_sys)
     for _ in range(steps):
         gates.extend(step)
-    meta = {"dt": dt, "steps": steps, "n_sys": n_sys, "n_anc": reg.n_a}
-    if metadata:
-        meta.update(metadata)
-    return Circuit(n_sys + reg.n_a, tuple(gates), meta)
+    return Circuit(n_sys + reg.n_a, tuple(gates))
 
 
-@dataclass
-class TrotterRunner:
-    """Incremental driver: compiled step circuit plus the evolving joint state.
+class TrotterRunner(LiftedRunner):
+    """Lifted runner on the product circuit: one compiled step circuit, simulated per step.
 
     Prefer this over one monolithic circuit when intermediate states are
     needed (probe traces, error tables); the per-step gate list is identical
     every step, so it is compiled once.
     """
 
-    pair: HermitianPair
-    reg: PRegister
-    dt: float
-    layout: FieldLayout | None
-    norm: float
-    psi: StateVector
-    step_circuit: Circuit
-    h1_blocks: list[BellBlock]
-    h2_blocks: list[BellBlock]
-    steps_done: int = 0
-    check_norm: bool = True
-    weights: np.ndarray | None = None
+    def __init__(
+        self,
+        pair: HermitianPair,
+        h1_blocks: list[BellBlock],
+        h2_blocks: list[BellBlock],
+        u0: FieldState,
+        reg: PRegister,
+        dt: float,
+        weights: np.ndarray | None = None,
+    ):
+        super().__init__(pair, u0, reg, dt, weights)
+        self.h1_blocks, self.h2_blocks = h1_blocks, h2_blocks
+        n_sys = int(math.log2(pair.dim))
+        self.step_circuit = Circuit(
+            n_sys + reg.n_a, tuple(step_gates(h1_blocks, h2_blocks, reg, n_sys))
+        )
 
     @staticmethod
     def from_generator(
-        a,
-        u0,
-        reg: PRegister,
-        dt: float,
-        layout: FieldLayout | None = None,
-        check_norm: bool = True,
-        weights: np.ndarray | None = None,
+        a, u0: FieldState, reg: PRegister, dt: float, weights: np.ndarray | None = None
     ) -> "TrotterRunner":
         """Compile a generator and initial state into a step runner.
 
@@ -312,41 +301,10 @@ class TrotterRunner:
         symmetry at PMC walls); recovery maps back, so results are in the
         original variables either way.
         """
-        if isinstance(u0, FieldState) and layout is None:
-            layout = u0.layout
         pair, h1_blocks, h2_blocks = compile_generator(a, dt, weights)
-        lifted = initial_lifted_state(u0, reg, weights)
-        n_sys = int(math.log2(pair.dim))
-        step = Circuit(
-            n_sys + reg.n_a,
-            tuple(step_gates(h1_blocks, h2_blocks, reg, n_sys)),
-            {"dt": dt, "steps": 1},
-        )
-        return TrotterRunner(
-            pair=pair,
-            reg=reg,
-            dt=dt,
-            layout=layout,
-            norm=lifted.norm,
-            psi=StateVector.from_array(lifted.values),
-            step_circuit=step,
-            h1_blocks=h1_blocks,
-            h2_blocks=h2_blocks,
-            check_norm=check_norm,
-            weights=weights,
-        )
-
-    @property
-    def time(self) -> float:
-        return self.steps_done * self.dt
+        return TrotterRunner(pair, h1_blocks, h2_blocks, u0, reg, dt, weights)
 
     def advance(self, steps: int) -> None:
         for _ in range(steps):
-            self.psi = simulate(self.step_circuit, self.psi, check_norm=self.check_norm)
+            self.psi = simulate(self.step_circuit, self.psi, check_norm=False)
         self.steps_done += steps
-
-    def recover(self, mode: str = "single"):
-        """Physical field at the current time (FieldState when a layout is known)."""
-        return recover_solution(
-            self.psi.values, self.reg, self.pair, self.time, self.norm, self.layout, mode, self.weights
-        )

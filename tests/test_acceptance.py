@@ -146,9 +146,7 @@ def test_criterion_03_trotter_trend():
     times = (8.0, 16.0, 24.0)
     errs = {}
     for dt in (0.1, 0.01):
-        runner = TrotterRunner.from_generator(
-            a, u0, reg, dt, layout, check_norm=False, weights=weights
-        )
+        runner = TrotterRunner.from_generator(a, u0, reg, dt, weights=weights)
         for t_target in times:
             runner.advance(round(t_target / dt) - runner.steps_done)
             errs[(dt, t_target)] = component_errors(
@@ -257,8 +255,7 @@ def test_criterion_06_signed_probe_traces():
         shifted = apply_offset(u0, Component.EZ, c_offset)
     reg = PRegister(n_a=1)
     runner = TrotterRunner.from_generator(
-        a, shifted, reg, 0.1, layout, check_norm=False,
-        weights=symmetrizing_weights(spec),
+        a, shifted, reg, 0.1, weights=symmetrizing_weights(spec)
     )
     response0 = unit_offset_state(layout, Component.EZ)
     reference = ProbeRequest(Component.EZ, 8, 8)
@@ -306,14 +303,13 @@ def test_criterion_07_scatterer_interior_exactly_zero():
 
     reg = PRegister(n_a=1)
     runner = TrotterRunner.from_generator(
-        a, u0, reg, sc.dt, layout, check_norm=False,
-        weights=symmetrizing_weights(spec),
+        a, u0, reg, sc.dt, weights=symmetrizing_weights(spec)
     )
     circuit_worst = 0.0
     d = layout.state_len
     for _ in range(sc.steps):
         runner.advance(1)
-        joint = runner.psi.values.reshape(reg.n_points, d)
+        joint = runner.psi.reshape(reg.n_points, d)
         circuit_worst = max(circuit_worst, float(np.max(np.abs(joint[:, frozen]))))
     rec = runner.recover()
     circuit_worst = max(circuit_worst, float(np.max(np.abs(rec.values[frozen]))))
@@ -376,7 +372,7 @@ def test_criterion_09_shot_mode_convergence():
     hits = 0
     trials = 200
     for _ in range(trials):
-        est = magnitude_at(psi, 3, 0, 8, scale=1.0, shots=shots, rng=rng)
+        est = magnitude_at(psi, 3, scale=1.0, shots=shots, rng=rng)
         if abs(est.value - amp) <= 3.0 * est.stderr:
             hits += 1
     elapsed = time.time() - t0
@@ -419,13 +415,11 @@ def test_criterion_10_3d_consistency():
 
     # Circuit arm: one 3D circuit run against the 2D circuit on every slice.
     r3 = TrotterRunner.from_generator(
-        a3, u3, PRegister(n_a=1), sc3.dt, FieldLayout(spec3),
-        check_norm=False, weights=symmetrizing_weights(spec3),
+        a3, u3, PRegister(n_a=1), sc3.dt, weights=symmetrizing_weights(spec3)
     )
     r3.advance(sc3.steps)
     r2 = TrotterRunner.from_generator(
-        a2, u2, PRegister(n_a=1), sc3.dt, FieldLayout(spec2),
-        check_norm=False, weights=symmetrizing_weights(spec2),
+        a2, u2, PRegister(n_a=1), sc3.dt, weights=symmetrizing_weights(spec2)
     )
     r2.advance(sc3.steps)
     c3 = r3.recover()

@@ -311,3 +311,22 @@ class TestMain:
             gc.collect()
         assert rc == 3
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_undecidable_relative_phase_writes_sign_zero_rows(self, tmp_path):
+        # The narrow window leaves the recovery slice with relative phases
+        # that are neither 0 nor pi at t = 0.2 and 0.3; those rows read
+        # value=nan, sign=0, and the window becomes infeasible at t = 0.4.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the default offset equals the certified bound
+            rc = main([
+                "run", "--scenario", "2d-scatterer", "--steps", "10", "--backend", "circuit",
+                "--p-min", "-0.2", "--p-max", "0.3",
+                "--probes", "Ez:3:3", "Hx:5:2", "Hy:6:4", "Ez:7:1",
+                "--outdir", str(tmp_path / "r"),
+            ])
+        assert rc == 3
+        rows = list(csv.DictReader((tmp_path / "r" / "probes.csv").open()))
+        undecided = [r for r in rows if r["sign"] == "0"]
+        assert sorted({round(float(r["time"]), 9) for r in undecided}) == [0.2, 0.3]
+        assert len(undecided) == 8 and all(r["value"] == "nan" for r in undecided)
+        assert max(float(r["time"]) for r in rows) < 0.35

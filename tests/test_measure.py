@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmaxwell.errors import IndeterminateSignError
+from qmaxwell.errors import IndeterminateSignError, RecoveryInfeasibleError
 from qmaxwell.grid import (
     Boundaries,
     Component,
@@ -11,7 +11,7 @@ from qmaxwell.grid import (
     GridSpec,
     pack_initial_condition,
 )
-from qmaxwell.lifting import PRegister
+from qmaxwell.lifting import LiftedExactRunner, PRegister
 from qmaxwell.measure import (
     MagnitudeEstimate,
     ProbeRequest,
@@ -24,8 +24,9 @@ from qmaxwell.measure import (
     signed_field_at,
     unit_offset_state,
 )
-from qmaxwell.operators import assemble_generator
+from qmaxwell.operators import assemble_generator, symmetrizing_weights
 from qmaxwell.oracle import exact_evolution
+from qmaxwell.scenarios import build_scenario
 from qmaxwell.trotter import TrotterRunner
 
 
@@ -112,13 +113,13 @@ class TestMagnitude:
     def test_basis_state(self):
         psi = np.zeros(8, dtype=complex)
         psi[5] = 1.0
-        est = magnitude_at(psi, flat_index=1, ancilla_index=1, system_dim=4, scale=2.5)
+        est = magnitude_at(psi[4:], flat_index=1, scale=2.5)
         assert est.value == 2.5
         assert est.shots_used == "exact"
 
     def test_uniform_state(self):
         psi = np.full(4, 0.5, dtype=complex)
-        est = magnitude_at(psi, 3, 0, 4, scale=2.0)
+        est = magnitude_at(psi, 3, scale=2.0)
         assert est.value == pytest.approx(1.0)
 
     def test_shot_estimate_near_exact(self):
@@ -126,7 +127,7 @@ class TestMagnitude:
         psi[1] = 0.3
         psi[0] = math.sqrt(1 - 0.09)
         rng = np.random.default_rng(5)
-        est = magnitude_at(psi, 1, 0, 4, scale=1.0, shots=1 << 16, rng=rng)
+        est = magnitude_at(psi, 1, scale=1.0, shots=1 << 16, rng=rng)
         assert est.shots_used == 1 << 16
         assert abs(est.value - 0.3) < 4 * est.stderr
 
@@ -160,7 +161,7 @@ class TestRelativeSign:
 
     def test_bad_phase_rejected(self):
         psi = self.make_state(0.5, 0.3 * np.exp(0.5j))
-        with pytest.raises(ValueError):
+        with pytest.raises(IndeterminateSignError):
             relative_sign(psi, 0, 1)
 
     def test_shot_mode_indeterminate_when_small(self):
@@ -200,7 +201,7 @@ class TestSignedFieldPipeline:
         shifted = apply_offset(u0, Component.EZ, c)
         reg = PRegister(n_a=3)
         runner = TrotterRunner.from_generator(
-            a, shifted, reg, dt, layout, weights=symmetrizing_weights(spec)
+            a, shifted, reg, dt, weights=symmetrizing_weights(spec)
         )
         runner.advance(round(t / dt))
         response = exact_evolution(a, unit_offset_state(layout, Component.EZ), t)
@@ -237,3 +238,50 @@ class TestSignedFieldPipeline:
             assert reading.sign == (1 if want >= 0 else -1)
             checked += 1
         assert checked > 10
+
+
+class TestRunnerReadout:
+    """Probe readout through the lifted runner's recovery slice."""
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_lifted_exact_probes_equal_exact_flow(self, n):
+        # Weighted 2d-empty is skew, so the lift is exact and so are the probes.
+        spec = build_scenario("2d-empty", n, n).spec
+        a = assemble_generator(spec)
+        u0 = impulse_state(spec, n // 2, n // 2)
+        c, t = 1.5, 1.0
+        runner = LiftedExactRunner(
+            a, apply_offset(u0, Component.EZ, c), PRegister(n_a=1), 0.5, symmetrizing_weights(spec)
+        )
+        runner.advance(2)
+        response = exact_evolution(a, unit_offset_state(u0.layout, Component.EZ), t)
+        ref = ProbeRequest(Component.EZ, n // 2, n // 2)
+        pipe = pipeline_state(runner, c, response, ref)
+        exact = exact_evolution(a, u0, t)
+        layout = u0.layout
+        worst, checked = 0.0, 0
+        for comp in layout.components:
+            for j in range(spec.ny):
+                for i in range(spec.nx):
+                    if layout.is_active(comp, i, j):
+                        reading = signed_field_at(ProbeRequest(comp, i, j), pipe)
+                        worst = max(worst, abs(reading.value - exact.at(comp, i, j)))
+                        checked += 1
+        assert checked == int(layout.active_mask().sum())
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("make", [LiftedExactRunner, TrotterRunner.from_generator])
+    def test_recover_and_readout_share_one_guard(self, make):
+        # p* = 0.5 equals the bound 0.5 at t = 0.5 on unweighted 2d-empty 4x4.
+        spec = build_scenario("2d-empty", 4, 4).spec
+        a = assemble_generator(spec)
+        u0 = impulse_state(spec, 2, 2)
+        runner = make(a, apply_offset(u0, Component.EZ, 1.5), PRegister(1, -1.0, 1.0), 0.5)
+        runner.advance(1)
+        with pytest.raises(RecoveryInfeasibleError) as rec:
+            runner.recover()
+        response = exact_evolution(a, unit_offset_state(u0.layout, Component.EZ), 0.5)
+        with pytest.raises(RecoveryInfeasibleError) as probe:
+            pipeline_state(runner, 1.5, response, ProbeRequest(Component.EZ, 2, 2))
+        assert rec.value.required_p == probe.value.required_p == 0.5
+        assert str(rec.value) == str(probe.value)

@@ -192,10 +192,12 @@ class TestScatterer:
         return GridSpec(nx=n, ny=n, dim=2, scatterer=ScattererBox(lo=lo, hi=hi))
 
     def test_empty_body_rejected(self):
-        # A point and a PEC plate enclose no sample; they are refused, not ignored.
-        for lo, hi in (((3, 3), (3, 3)), ((4, 4), (4, 12))):
+        # A point and a PEC plate enclose no sample, and a PMC box one cell
+        # wide on both axes acts on none; they are refused, not ignored.
+        cases = (((3, 3), (3, 3), "pec"), ((4, 4), (4, 12), "pec"), ((4, 4), (5, 5), "pmc"))
+        for lo, hi, faces in cases:
             with pytest.raises(GeometryError):
-                GridSpec(nx=16, ny=16, dim=2, scatterer=ScattererBox(lo, hi, faces="pec"))
+                GridSpec(nx=16, ny=16, dim=2, scatterer=ScattererBox(lo, hi, faces=faces))
 
     def test_zeroed_row_count(self):
         spec = self.scatter_spec()
