@@ -42,8 +42,8 @@ _SIGMA = {
 
 _ADJOINT_TAG = {ID: ID, S00: S00, S11: S11, S01: S10, S10: S01}
 
-# Row/column bit carried by each factor tag (None = unconstrained).
-_TAG_BITS = {ID: (None, None), S00: (0, 0), S01: (0, 1), S10: (1, 0), S11: (1, 1)}
+# Row bit carried by each flip or projector factor tag.
+_ROW_BIT = {S00: 0, S01: 0, S10: 1, S11: 1}
 
 
 @dataclass(frozen=True)
@@ -196,110 +196,77 @@ def pair_adjoints(terms) -> tuple[list[AdjointPair], list[TensorTerm]]:
     return pairs, diag
 
 
-BELL = "bell"
-DIAGONAL = "diagonal"
-
-CTRL_NONE = "none"
-CTRL_ZERO = "control-0"
-CTRL_ONE = "control-1"
-CTRL_BELL = "bell-control"
-
-
 @dataclass(frozen=True)
 class BellBlock:
     """Compiled circuit block for one adjoint pair and a time step.
 
-    ``a_bits``/``b_bits`` are qubit-indexed (index 0 = least significant
-    qubit) with -1 marking identity positions.  ``theta`` is the rotation
-    weight ``2 * weight * dt`` for flip blocks and the phase ``coeff * dt``
-    for diagonal blocks; ``phase`` carries the pair's coefficient phase.
+    ``factors`` is the pair's representative string, most significant qubit
+    first as in :class:`TensorTerm`, with at least one flip factor; every
+    qubit role derives from it.  ``theta`` is the rotation angle
+    ``2 * weight * dt`` and ``phase`` the pair's coefficient phase.
+    Qubit indices below count from the least significant qubit (index 0).
     """
 
-    kind: str
-    n: int
-    a_bits: tuple[int, ...]
-    b_bits: tuple[int, ...]
-    flip_qubits: tuple[int, ...]
-    control_spec: tuple[str, ...]
-    target: int
+    factors: tuple[str, ...]
     theta: float
-    phase: float = 0.0
+    phase: float
 
-    def __post_init__(self):
-        if self.kind not in (BELL, DIAGONAL):
-            raise ValueError(f"unknown block kind {self.kind!r}")
-        if self.kind == BELL:
-            if not self.flip_qubits:
-                raise ValueError("flip blocks need at least one flip qubit")
-            if any(self.a_bits[q] == self.b_bits[q] for q in self.flip_qubits):
-                raise ValueError("a and b must differ on every flip qubit")
+    @property
+    def n(self) -> int:
+        return len(self.factors)
+
+    def factor(self, q: int) -> str:
+        """Factor tag acting on qubit ``q``."""
+        return self.factors[self.n - 1 - q]
+
+    def row_bit(self, q: int) -> int:
+        """Row bit of the flip or projector factor on qubit ``q``."""
+        return _ROW_BIT[self.factor(q)]
+
+    @property
+    def flip_qubits(self) -> tuple[int, ...]:
+        return tuple(q for q in range(self.n) if self.factor(q) in (S01, S10))
+
+    @property
+    def target(self) -> int:
+        """The lowest flip qubit, which carries the block's rotation."""
+        return self.flip_qubits[0]
+
+    @property
+    def controls(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Controls of the block's core and their polarities: projector bits, and flip bits off the target."""
+        target = self.target
+        qubits, polarities = [], []
+        for q in range(self.n):
+            tag = self.factor(q)
+            if tag in (S00, S11):
+                qubits.append(q)
+                polarities.append(_ROW_BIT[tag])
+            elif tag != ID and q != target:
+                qubits.append(q)
+                polarities.append(1)
+        return tuple(qubits), tuple(polarities)
 
 
-def build_bell_block(pair, dt: float) -> BellBlock:
-    """Compile an adjoint pair (or diagonal term) into a circuit block.
+def build_bell_block(pair: AdjointPair, dt: float) -> BellBlock:
+    """Compile an adjoint pair into a circuit block.
 
     Flip qubits carry the basis change; qubits holding projector factors
-    become polarity controls; identity qubits are untouched.  A term with an
-    empty flip set is routed to a diagonal-phase block (real coefficient
-    required); a term proportional to the identity has no circuit meaning
-    and is rejected.
+    become polarity controls; identity qubits are untouched.
     """
-    if isinstance(pair, TensorTerm) and not pair.is_diagonal:
-        raise ValueError("off-diagonal terms must be paired before compilation")
-    factors = pair.factors
-    n = len(factors)
-    a_bits, b_bits, flips, spec = [], [], [], []
-    for q in range(n):
-        tag = factors[n - 1 - q]
-        ab, bb = _TAG_BITS[tag]
-        a_bits.append(-1 if ab is None else ab)
-        b_bits.append(-1 if bb is None else bb)
-        if tag in (S01, S10):
-            flips.append(q)
-            spec.append(CTRL_BELL)
-        elif tag == S00:
-            spec.append(CTRL_ZERO)
-        elif tag == S11:
-            spec.append(CTRL_ONE)
-        else:
-            spec.append(CTRL_NONE)
-    if flips:
-        return BellBlock(
-            kind=BELL,
-            n=n,
-            a_bits=tuple(a_bits),
-            b_bits=tuple(b_bits),
-            flip_qubits=tuple(flips),
-            control_spec=tuple(spec),
-            target=min(flips),
-            theta=2.0 * pair.weight * dt,
-            phase=pair.phase,
-        )
-    coeff = pair.coefficient
-    if abs(coeff.imag) > 1e-12 * max(1.0, abs(coeff)):
-        raise HermiticityError(f"diagonal block needs a real coefficient, got {coeff}")
-    constrained = [q for q in range(n) if spec[q] != CTRL_NONE]
-    if not constrained:
-        raise ValueError("identity term cannot be realized as a circuit block")
-    return BellBlock(
-        kind=DIAGONAL,
-        n=n,
-        a_bits=tuple(a_bits),
-        b_bits=tuple(b_bits),
-        flip_qubits=(),
-        control_spec=tuple(spec),
-        target=min(constrained),
-        theta=coeff.real * dt,
-        phase=0.0,
-    )
+    return BellBlock(pair.factors, theta=2.0 * pair.weight * dt, phase=pair.phase)
 
 
 def compile_blocks(h, dt: float) -> list[BellBlock]:
-    """Tensorize, pair, and compile an operator into circuit blocks."""
+    """Tensorize, pair, and compile an operator into circuit blocks.
+
+    A diagonal string has no flip qubit and so no block; the curl generators
+    have a zero diagonal (see ``DECISIONS.md``), so one is refused.
+    """
     pairs, diag = pair_adjoints(tensorize(h))
-    return [build_bell_block(p, dt) for p in pairs] + [
-        build_bell_block(t, dt) for t in diag
-    ]
+    if diag:
+        raise ValueError(f"diagonal string {diag[0].factors} cannot be compiled to a block")
+    return [build_bell_block(p, dt) for p in pairs]
 
 
 def reconstruct(items) -> np.ndarray:
@@ -316,23 +283,5 @@ def reconstruct(items) -> np.ndarray:
 
 def block_generator(block: BellBlock, dt: float) -> np.ndarray:
     """Dense Hermitian generator whose ``exp(i * dt * .)`` the block realizes."""
-    n = block.n
-    if block.kind == DIAGONAL:
-        coeff = block.theta / dt
-        factors = []
-        for q in reversed(range(n)):
-            s = block.control_spec[q]
-            factors.append({CTRL_NONE: ID, CTRL_ZERO: S00, CTRL_ONE: S11}[s])
-        return TensorTerm(coeff, tuple(factors)).matrix()
     w = block.theta / (2.0 * dt)
-    c = w * cmath.exp(1j * block.phase)
-    factors = []
-    for q in reversed(range(n)):
-        s = block.control_spec[q]
-        if s == CTRL_BELL:
-            factors.append(S01 if block.a_bits[q] == 0 else S10)
-        else:
-            factors.append({CTRL_NONE: ID, CTRL_ZERO: S00, CTRL_ONE: S11}[s])
-    t = TensorTerm(c, tuple(factors)).matrix()
-    return t + t.conj().T
-
+    return AdjointPair(w * cmath.exp(1j * block.phase), block.factors).matrix()

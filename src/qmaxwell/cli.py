@@ -25,7 +25,7 @@ import scipy
 from . import __version__
 from .circuit import gate_stats
 from .errors import ConfigError, IndeterminateSignError, QmaxwellError, RecoveryInfeasibleError
-from .grid import FieldState, component_name, pack_initial_condition, qubit_count
+from .grid import FieldLayout, FieldState, component_name, pack_initial_condition, qubit_count
 from .lifting import LiftedExactRunner, PRegister
 from .measure import (
     ProbeRequest,
@@ -97,19 +97,20 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     return RunConfig(**data).validate()
 
 
-def _parse_probes(items) -> list[ProbeRequest]:
+def _parse_probes(items, layout: FieldLayout) -> list[ProbeRequest]:
+    """Probe requests from ``comp:i:j[:k]`` specs (or JSON lists), each checked against ``layout``."""
     out = []
     for item in items:
-        if isinstance(item, str):
-            parts = item.split(":")
-            if len(parts) not in (3, 4):
-                raise ConfigError(f"probe {item!r} must be comp:i:j[:k]")
-            comp, idx = parts[0], [int(p) for p in parts[1:]]
-        else:
-            comp, idx = item[0], [int(p) for p in item[1:]]
-        while len(idx) < 3:
-            idx.append(0)
-        out.append(ProbeRequest(component_name(comp), *idx))
+        parts = item.split(":") if isinstance(item, str) else list(item)
+        if len(parts) not in (3, 4):
+            raise ConfigError(f"probe {item!r} must be comp:i:j[:k]")
+        try:
+            idx = [int(p) for p in parts[1:]] + [0] * (4 - len(parts))
+            probe = ProbeRequest(component_name(str(parts[0])), *idx)
+            layout.flat_index(probe.component, *idx)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad probe {item!r}: {e}") from e
+        out.append(probe)
     return out
 
 
@@ -263,7 +264,7 @@ def execute_run(config: RunConfig) -> dict:
         else scenario.snapshot_times
     )
     snap_steps = {grid_step(t, dt) for t in snap_times if t <= steps * dt + 1e-9}
-    probes = _parse_probes(config.probes)
+    probes = _parse_probes(config.probes, FieldLayout(spec))
     probe_steps = set(range(0, steps + 1, config.probe_every)) if probes else set()
     outdir = _resolve_outdir(config)
 
@@ -332,7 +333,7 @@ def execute_stats(config: RunConfig) -> dict:
     _, h1_blocks, h2_blocks = compile_generator(
         assemble_generator(scenario.spec), dt, _weights(config, scenario)
     )
-    c = emit_trotter_circuit(h1_blocks, h2_blocks, _register(config), dt, steps)
+    c = emit_trotter_circuit(h1_blocks, h2_blocks, _register(config), steps)
     stats = gate_stats(c)
     stats["steps"] = steps
     stats["n_qubits"] = c.n_qubits

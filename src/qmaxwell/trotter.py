@@ -20,14 +20,7 @@ import math
 
 import numpy as np
 
-from .bell import (
-    BELL,
-    CTRL_BELL,
-    CTRL_ONE,
-    CTRL_ZERO,
-    BellBlock,
-    compile_blocks,
-)
+from .bell import BellBlock, compile_blocks
 from .circuit import (
     CNOT,
     FOURIER,
@@ -84,39 +77,9 @@ def _o_transform_gates(block: BellBlock) -> list[Gate]:
         if f != t:
             gates.append(Gate(CNOT, (t, f)))
     for q in block.flip_qubits:
-        want = block.a_bits[q] == 1 if q == t else block.a_bits[q] == 0
-        if want:
+        if block.row_bit(q) == (1 if q == t else 0):
             gates.append(Gate(X, (q,)))
     return gates
-
-
-def _spectator_controls(block: BellBlock) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Controls of a block's core and their polarities: fixed bits, and Bell bits off the target."""
-    ctrls, pols = [], []
-    for q in range(block.n):
-        s = block.control_spec[q]
-        if s == CTRL_ONE:
-            ctrls.append(q)
-            pols.append(1)
-        elif s == CTRL_ZERO:
-            ctrls.append(q)
-            pols.append(0)
-        elif s == CTRL_BELL and q != block.target:
-            ctrls.append(q)
-            pols.append(1)
-    return tuple(ctrls), tuple(pols)
-
-
-def _mcphase_gates(qubits, polarities, phi) -> list[Gate]:
-    """Phase e^{i*phi} on one control pattern, lowered recursively to mcrz."""
-    if len(qubits) == 1:
-        q, p = qubits[0], polarities[0]
-        g = Gate(PHASE, (q,), phi)
-        return [g] if p == 1 else [Gate(X, (q,)), g, Gate(X, (q,))]
-    q, p = qubits[-1], polarities[-1]
-    sign = 1.0 if p == 1 else -1.0
-    core = Gate(MCRZ, tuple(qubits[:-1]) + (q,), sign * phi, tuple(polarities[:-1]))
-    return [core] + _mcphase_gates(qubits[:-1], polarities[:-1], phi / 2)
 
 
 def block_gates(
@@ -133,28 +96,20 @@ def block_gates(
     """
     if extra_controls and len(extra_controls) != len(angle_scales):
         raise ValueError("one extra control per angle scale")
-    if block.kind == BELL:
-        ctrls, pols = _spectator_controls(block)
-        cores = []
-        for idx, scale in enumerate(angle_scales):
-            extra = (extra_controls[idx],) if extra_controls else ()
-            cores.append(
-                Gate(
-                    MCRZ,
-                    ctrls + extra + (block.target,),
-                    -block.theta * scale,
-                    pols + (1,) * len(extra),
-                )
-            )
-        o_gates = _o_transform_gates(block)
-        return dagger(o_gates) + cores + o_gates
-    # Diagonal block: pure phase on the constrained pattern.
-    qs, ps = _spectator_controls(block)
-    out = []
+    ctrls, pols = block.controls
+    cores = []
     for idx, scale in enumerate(angle_scales):
         extra = (extra_controls[idx],) if extra_controls else ()
-        out.extend(_mcphase_gates(extra + qs, (1,) * len(extra) + ps, block.theta * scale))
-    return out
+        cores.append(
+            Gate(
+                MCRZ,
+                ctrls + extra + (block.target,),
+                -block.theta * scale,
+                pols + (1,) * len(extra),
+            )
+        )
+    o_gates = _o_transform_gates(block)
+    return dagger(o_gates) + cores + o_gates
 
 
 def xi_bit_scales(reg: PRegister) -> list[float]:
@@ -240,15 +195,13 @@ def emit_trotter_circuit(
     blocks_h1: list[BellBlock],
     blocks_h2: list[BellBlock],
     reg: PRegister,
-    dt: float,
     steps: int,
     n_sys: int | None = None,
 ) -> Circuit:
     """Full circuit: auxiliary profile prep, then ``steps`` product steps.
 
-    Blocks must be compiled with the same ``dt``.  With ``steps=0`` the
-    circuit only prepares the lifted initial state (applied to the system
-    register's own initial state on the low qubits).
+    With ``steps=0`` the circuit only prepares the lifted initial state
+    (applied to the system register's own initial state on the low qubits).
     """
     if n_sys is None:
         sizes = [b.n for b in blocks_h1 + blocks_h2]

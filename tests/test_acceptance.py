@@ -343,7 +343,7 @@ def test_criterion_08_gate_count_scaling():
     circ = emit_trotter_circuit(
         order_blocks(compile_blocks(pair.h1, dt)),
         order_blocks(compile_blocks(pair.h2, dt)),
-        PRegister(n_a=1), dt, 100,
+        PRegister(n_a=1), 100,
     )
     stats = gate_stats(circ)
     in_band = 1e4 <= stats["abstract_depth"] <= 1.6e5

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, expm
+from scipy.linalg import expm
 
 from qmaxwell.bell import (
-    BELL,
-    DIAGONAL,
     AdjointPair,
     TensorTerm,
-    S00,
     S01,
     S10,
     S11,
@@ -22,7 +19,13 @@ from qmaxwell.bell import (
 from qmaxwell.errors import HermiticityError
 from qmaxwell.grid import GridSpec, ScattererBox
 from qmaxwell.lifting import hermitian_split
-from qmaxwell.operators import assemble_generator, staggered_derivative
+from qmaxwell.operators import (
+    apply_weights,
+    assemble_generator,
+    staggered_derivative,
+    symmetrizing_weights,
+)
+from qmaxwell.scenarios import build_scenario
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -134,7 +137,7 @@ class TestBellBlocks:
     def test_single_qubit_x_block(self):
         pairs, _ = pair_adjoints(tensorize(PAULI_X))
         block = build_bell_block(pairs[0], dt=0.3)
-        assert block.kind == BELL
+        assert block.flip_qubits == (0,)
         assert block.theta == pytest.approx(0.6)
         u = simulated_block_unitary(block)
         expected = expm(1j * 0.3 * PAULI_X)
@@ -157,7 +160,7 @@ class TestBellBlocks:
         h[2, 3] = h[3, 2] = 1.0
         pairs, _ = pair_adjoints(tensorize(h))
         block = build_bell_block(pairs[0], dt=0.4)
-        assert block.control_spec[1] == "control-1"
+        assert block.controls == ((1,), (1,))
         u = simulated_block_unitary(block)
         assert np.linalg.norm(u - expm(1j * 0.4 * h)) < 1e-12
 
@@ -169,39 +172,10 @@ class TestBellBlocks:
         u = simulated_block_unitary(block)
         assert np.linalg.norm(u - expm(1j * 0.5 * h)) < 1e-12
 
-    def test_diagonal_block(self):
-        h = np.diag([0.0, 0.0, 0.0, 2.0]).astype(complex)
-        pairs, diag = pair_adjoints(tensorize(h))
-        assert pairs == []
-        block = build_bell_block(diag[0], dt=0.3)
-        assert block.kind == DIAGONAL
-        u = simulated_block_unitary(block)
-        assert np.linalg.norm(u - expm(1j * 0.3 * h)) < 1e-12
-
-    def test_diagonal_block_polarity_zero_control(self):
-        # |1><1| (x) I (x) |0><0|: a control-on-1 on qubit 2 and a control-on-0 on qubit 0.
-        block = build_bell_block(TensorTerm(0.7 + 0j, (S11, ID, S00)), dt=0.3)
-        assert block.kind == DIAGONAL and block.control_spec[0] == "control-0"
-        u = simulated_block_unitary(block)
-        assert np.linalg.norm(u - expm(1j * 0.3 * block_generator(block, 0.3))) < 1e-12
-
-    def test_diagonal_block_extra_controls(self):
-        # Two auxiliary qubits (3, 4) scale the phase by the frequency of their pattern.
-        from qmaxwell.circuit import gates_unitary
-        from qmaxwell.trotter import block_gates
-
-        dt, scales = 0.3, (0.5, -1.25)
-        block = build_bell_block(TensorTerm(0.7 + 0j, (S11, ID, S00)), dt=dt)
-        u = gates_unitary(block_gates(block, extra_controls=(3, 4), angle_scales=scales), 5)
-        g = block_generator(block, dt)
-        expected = block_diag(*(
-            expm(1j * dt * (scales[0] * (l & 1) + scales[1] * (l >> 1)) * g) for l in range(4)
-        ))
-        assert np.linalg.norm(u - expected) < 1e-12
-
     def test_identity_term_rejected(self):
-        with pytest.raises(ValueError):
-            build_bell_block(TensorTerm(1.0 + 0j, (ID, ID)), dt=0.1)
+        # A diagonal string has no flip qubit, so compile_blocks refuses it by name.
+        with pytest.raises(ValueError, match=r"\('i', 'i'\)"):
+            compile_blocks(np.eye(4), dt=0.1)
 
     def test_block_generator_matches_pair(self):
         h = np.zeros((8, 8), dtype=complex)
@@ -210,6 +184,19 @@ class TestBellBlocks:
         pairs, _ = pair_adjoints(tensorize(h))
         block = build_bell_block(pairs[0], dt=0.2)
         assert np.linalg.norm(block_generator(block, 0.2) - h) < 1e-13
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("name, nx", [("2d-empty", 8), ("2d-scatterer", 8), ("3d-empty", 4)])
+    def test_compiled_blocks_sum_to_operator(self, name, nx, weighted):
+        spec = build_scenario(name, nx=nx).spec
+        a = assemble_generator(spec)
+        pair = hermitian_split(apply_weights(a, symmetrizing_weights(spec)) if weighted else a)
+        dt = 0.1
+        for h in (pair.h1.toarray(), pair.h2.toarray()):
+            total = np.zeros(h.shape, dtype=complex)
+            for b in compile_blocks(h, dt):
+                total += block_generator(b, dt)
+            assert np.abs(total - h).max() < 1e-13
 
     def test_compiled_blocks_unitary_and_correct(self):
         spec = GridSpec(nx=4, ny=4, dim=2)

@@ -66,9 +66,13 @@ class TestConfig:
             load_config(str(cfg), {})
 
     def test_bad_probe_spec(self, tmp_path):
-        config = small_run_config(tmp_path, probes=["Ez"])
-        with pytest.raises(ConfigError):
-            execute_run(config)
+        # Each is refused before any artifact is written (Ex has no 2D sample).
+        for spec in ("Ez", "Ez:x:3", "Ez:99:3", "Ez:1:1:2", "Qz:1:1", "Ex:1:1", ["Ez", 1, 1, 0, 5]):
+            config = small_run_config(tmp_path, probes=[spec])
+            with pytest.raises(ConfigError):
+                execute_run(config)
+            out = Path(config.outdir)
+            assert not out.exists() or not any(out.iterdir()), spec
 
 
 class TestRun:

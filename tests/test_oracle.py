@@ -82,6 +82,22 @@ class TestErrorTable:
         assert len(table.rows) == 4
         assert {r.dt for r in table.rows} == {0.1, 0.05}
 
+    def test_one_exact_reference_per_horizon(self, monkeypatch):
+        import qmaxwell.oracle as oracle
+
+        horizons = []
+
+        def counted(a, u0, t):
+            horizons.append(t)
+            return exact_evolution(a, u0, t)
+
+        monkeypatch.setattr(oracle, "exact_evolution", counted)
+        spec = GridSpec(nx=4, ny=4, dim=2)
+        u0 = impulse(spec, 2, 2)
+        times = [1.0, 0.5]
+        trotter_error_table(assemble_generator(spec), u0, [0.1, 0.05], times, PRegister(n_a=1))
+        assert len(horizons) == len(times) and sorted(horizons) == sorted(times)
+
     def test_non_multiple_time_rejected(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
         a = assemble_generator(spec)

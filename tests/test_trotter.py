@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from qmaxwell.lifting import (
     hermitian_split,
     initial_lifted_state,
 )
-from qmaxwell.operators import assemble_generator
+from qmaxwell.operators import assemble_generator, symmetrizing_weights
+from qmaxwell.scenarios import build_scenario
 from qmaxwell.trotter import (
     TrotterRunner,
     amplitude_prep_gates,
@@ -71,6 +73,23 @@ class TestAncillaPrep:
         assert np.linalg.norm(psi - amps) < 1e-12
 
 
+# Gate emission of one step, pinned by gate count and the sha256 of its gate tuples.
+PINNED_STEPS = [
+    ("2d-empty", 8, False, 1, 198, "53f9680194774ab3a39c5f4320054c5f49555e4268444d68aac08e2c58912d3e"),
+    ("2d-empty", 8, False, 3, 206, "c3a71ad41a34642e7c146f907d550e1aab15d954efc4aaf7b427c06ce0c43af2"),
+    ("2d-empty", 8, True, 1, 168, "3c3310b370ea3ea0281678090604a60d9142cc63aea65a4b7c5d72a21e70786e"),
+    ("2d-empty", 8, True, 3, 168, "3c3310b370ea3ea0281678090604a60d9142cc63aea65a4b7c5d72a21e70786e"),
+    ("2d-scatterer", 8, False, 1, 623, "c5b7dac6c6d535851426f1e82db9e33e99c0c1743119383a588562ecd9eabccf"),
+    ("2d-scatterer", 8, False, 3, 647, "3f38b99a080b21854ca8bac7c6baf90df5e4d533c86faa750ddda31ae69dff41"),
+    ("2d-scatterer", 8, True, 1, 595, "2e7422b8e2f14975862182923869987aed8704946e2aba6b5be73c9de4aa83c9"),
+    ("2d-scatterer", 8, True, 3, 611, "61087ef501da97fed41b4a7ce825db244280b53a90dc0eaabd558951b6aca584"),
+    ("3d-empty", 4, False, 1, 994, "287d6edfba7fcc270e463ffc36b5c6a441696d9c5ca06f865b329aafa28b0f21"),
+    ("3d-empty", 4, False, 3, 1052, "4fea387070019ec2c8a9f56e677025122361334981219f69a76aae48250aef39"),
+    ("3d-empty", 4, True, 1, 767, "5aa6d75baa910163f608ceda7dd4f30e5a6e6eebe928e709bf640d58bab28b60"),
+    ("3d-empty", 4, True, 3, 767, "5aa6d75baa910163f608ceda7dd4f30e5a6e6eebe928e709bf640d58bab28b60"),
+]
+
+
 class TestStepStructure:
     def test_h1_zero_has_no_ancilla_coupling(self):
         rng = np.random.default_rng(1)
@@ -80,11 +99,25 @@ class TestStepStructure:
         assert all(g.kind != FOURIER for g in gates)
         assert all(max(g.qubits) < 2 for g in gates)
 
+    @pytest.mark.parametrize("name, nx, weighted, n_a, count, digest", PINNED_STEPS)
+    def test_step_gates_pinned(self, name, nx, weighted, n_a, count, digest):
+        spec = build_scenario(name, nx=nx).spec
+        weights = symmetrizing_weights(spec) if weighted else None
+        pair, h1, h2 = compile_generator(assemble_generator(spec), 0.1, weights)
+        gates = step_gates(h1, h2, PRegister(n_a), int(math.log2(pair.dim)))
+        emitted = repr([
+            (g.kind, g.qubits, None if g.angle is None else float(g.angle), g.polarities, g.inverse)
+            for g in gates
+        ])
+        assert len(gates) == count
+        assert hashlib.sha256(emitted.encode()).hexdigest() == digest
+
     def test_pure_h1_step_is_exact(self):
         # With no skew part, one step equals the exact lifted propagator:
         # the per-bit factors commute, so there is no splitting error.
         rng = np.random.default_rng(2)
         h1 = sym(rng, 4) * 0.2
+        np.fill_diagonal(h1, 0.0)  # diagonal strings have no block
         pair = HermitianPair(
             h1=sp.csr_matrix(h1), h2=sp.csr_matrix((4, 4), dtype=complex)
         )
@@ -140,7 +173,7 @@ class TestEmittedCircuit:
         reg = PRegister(n_a=2)
         dt = 0.1
         c = emit_trotter_circuit(
-            compile_blocks(pair.h1, dt), compile_blocks(pair.h2, dt), reg, dt, 0
+            compile_blocks(pair.h1, dt), compile_blocks(pair.h2, dt), reg, 0
         )
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 1, 0, 1.0)])
         sys_state = u0.values / np.linalg.norm(u0.values)
@@ -160,7 +193,7 @@ class TestEmittedCircuit:
         runner.advance(steps)
         pair = runner.pair
         c = emit_trotter_circuit(
-            runner.h1_blocks, runner.h2_blocks, reg, dt, steps
+            runner.h1_blocks, runner.h2_blocks, reg, steps
         )
         sys_state = u0.values / np.linalg.norm(u0.values)
         psi0 = np.zeros(1 << c.n_qubits, dtype=complex)
