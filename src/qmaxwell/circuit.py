@@ -13,7 +13,6 @@ Fourier transform need):
 * ``fourier``    unitary DFT (kernel ``e^{+2*pi*i*lm/M}``) over a contiguous
                  ascending qubit range; simulated natively, lowered to gates
                  for statistics
-* ``swap``       qubit exchange
 
 Basis convention: bit ``i`` of the state index is qubit ``i``; auxiliary
 qubits occupy the high bits.  A statevector is a plain complex array of
@@ -36,9 +35,8 @@ CNOT = "cnot"
 PHASE = "phase"
 MCRZ = "mcrz"
 FOURIER = "fourier"
-SWAP = "swap"
 
-_KINDS = (X, SUPERPOSE, CNOT, PHASE, MCRZ, FOURIER, SWAP)
+_KINDS = (X, SUPERPOSE, CNOT, PHASE, MCRZ, FOURIER)
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
@@ -85,49 +83,22 @@ class Circuit:
                 )
 
 
-def _apply_x(psi, q):
-    s = 1 << q
-    return psi.reshape(-1, 2, s)[:, ::-1, :].reshape(-1)
+def _pair_views(psi, target, controls, polarities):
+    """A copy of ``psi`` and two views into it: the target bit at 0 and at 1.
 
-
-def _apply_superpose(psi, q):
-    s = 1 << q
-    v = psi.reshape(-1, 2, s)
-    out = np.empty_like(v)
-    out[:, 0, :] = (v[:, 0, :] + v[:, 1, :]) * _SQRT_HALF
-    out[:, 1, :] = (v[:, 0, :] - v[:, 1, :]) * _SQRT_HALF
-    return out.reshape(-1)
-
-
-def _apply_phase(psi, q, theta):
-    s = 1 << q
-    out = psi.reshape(-1, 2, s).copy()
-    out[:, 1, :] *= np.exp(1j * theta)
-    return out.reshape(-1)
-
-
-def _apply_cnot(psi, c, t):
-    idx = np.arange(len(psi))
-    src = idx ^ (((idx >> c) & 1) << t)
-    return psi[src]
-
-
-def _apply_swap(psi, a, b):
-    idx = np.arange(len(psi))
-    d = ((idx >> a) ^ (idx >> b)) & 1
-    return psi[idx ^ (d << a) ^ (d << b)]
-
-
-def _apply_mcrz(psi, controls, polarities, target, theta):
-    idx = np.arange(len(psi))
-    match = np.ones(len(psi), dtype=bool)
+    Both views cover only the amplitudes where every control matches its
+    polarity.  Every axis is indexed with a slice, so the views stay views
+    even when the operands cover every qubit.
+    """
+    n = psi.shape[0].bit_length() - 1
+    out = psi.reshape((2,) * n).copy()
+    index = [slice(None)] * n
     for c, p in zip(controls, polarities):
-        match &= ((idx >> c) & 1) == p
-    tbit = ((idx >> target) & 1).astype(bool)
-    phase = np.ones(len(psi), dtype=complex)
-    phase[match & tbit] = np.exp(0.5j * theta)
-    phase[match & ~tbit] = np.exp(-0.5j * theta)
-    return psi * phase
+        index[n - 1 - c] = slice(p, p + 1)
+    index[n - 1 - target] = slice(0, 1)
+    lo = out[tuple(index)]
+    index[n - 1 - target] = slice(1, 2)
+    return out, lo, out[tuple(index)]
 
 
 def _apply_fourier(psi, qubits, inverse):
@@ -143,21 +114,22 @@ def _apply_fourier(psi, qubits, inverse):
 
 
 def apply_gate(psi: np.ndarray, g: Gate) -> np.ndarray:
-    if g.kind == X:
-        return _apply_x(psi, g.qubits[0])
-    if g.kind == SUPERPOSE:
-        return _apply_superpose(psi, g.qubits[0])
-    if g.kind == PHASE:
-        return _apply_phase(psi, g.qubits[0], g.angle)
-    if g.kind == CNOT:
-        return _apply_cnot(psi, g.qubits[0], g.qubits[1])
-    if g.kind == SWAP:
-        return _apply_swap(psi, g.qubits[0], g.qubits[1])
-    if g.kind == MCRZ:
-        return _apply_mcrz(psi, g.controls, g.polarities, g.target, g.angle)
     if g.kind == FOURIER:
         return _apply_fourier(psi, g.qubits, g.inverse)
-    raise QmaxwellError(f"unknown gate kind {g.kind!r}")
+    controls, polarities = (g.qubits[:1], (1,)) if g.kind == CNOT else (g.controls, g.polarities)
+    out, lo, hi = _pair_views(psi, g.target, controls, polarities)
+    if g.kind in (X, CNOT):
+        lo[...], hi[...] = hi, lo.copy()  # lo is copied before it is overwritten
+    elif g.kind == SUPERPOSE:
+        lo[...], hi[...] = (lo + hi) * _SQRT_HALF, (lo - hi) * _SQRT_HALF
+    elif g.kind == PHASE:
+        hi *= np.exp(1j * g.angle)
+    elif g.kind == MCRZ:
+        lo *= np.exp(-0.5j * g.angle)
+        hi *= np.exp(0.5j * g.angle)
+    else:
+        raise QmaxwellError(f"unknown gate kind {g.kind!r}")
+    return out.reshape(-1)
 
 
 def simulate(circuit: Circuit, psi: np.ndarray, check_norm: bool = True) -> np.ndarray:
@@ -175,9 +147,8 @@ def simulate(circuit: Circuit, psi: np.ndarray, check_norm: bool = True) -> np.n
     ref = np.linalg.norm(psi) if check_norm else 0.0
     for g in circuit.gates:
         psi = apply_gate(psi, g)
-        if check_norm:
-            if abs(np.linalg.norm(psi) - ref) > 1e-10 * max(ref, 1.0):
-                raise QmaxwellError(f"norm drifted after {g.kind} on {g.qubits}")
+        if check_norm and abs(np.linalg.norm(psi) - ref) > 1e-10 * max(ref, 1.0):
+            raise QmaxwellError(f"norm drifted after {g.kind} on {g.qubits}")
     return psi
 
 
@@ -204,14 +175,12 @@ def dagger(gates) -> list[Gate]:
     """Inverse of a gate sequence (angles negated, order reversed)."""
     out = []
     for g in reversed(list(gates)):
-        if g.kind in (X, SUPERPOSE, CNOT, SWAP):
-            out.append(g)
-        elif g.kind in (PHASE, MCRZ):
+        if g.kind in (PHASE, MCRZ):
             out.append(Gate(g.kind, g.qubits, -g.angle, g.polarities))
         elif g.kind == FOURIER:
             out.append(Gate(FOURIER, g.qubits, inverse=not g.inverse))
-        else:
-            raise QmaxwellError(f"cannot invert {g.kind}")
+        else:  # x, superpose and cnot are their own inverses
+            out.append(g)
     return out
 
 
@@ -358,8 +327,9 @@ def qft_gates(qubits, inverse: bool = False) -> list[Gate]:
         gates.append(Gate(SUPERPOSE, (qubits[j],)))
         for i in range(j - 1, -1, -1):
             gates.extend(cphase(qubits[i], qubits[j], math.pi / (1 << (j - i))))
-    for i in range(m // 2):
-        gates.append(Gate(SWAP, (qubits[i], qubits[m - 1 - i])))
+    for i in range(m // 2):  # bit reversal, each exchange as three CNOTs
+        a, b = qubits[i], qubits[m - 1 - i]
+        gates.extend([Gate(CNOT, (a, b)), Gate(CNOT, (b, a)), Gate(CNOT, (a, b))])
     return dagger(gates) if inverse else gates
 
 
@@ -371,11 +341,6 @@ def lowered_gates(circuit: Circuit):
         elif g.kind == FOURIER:
             qft = Circuit(circuit.n_qubits, tuple(qft_gates(g.qubits, g.inverse)))
             yield from lowered_gates(qft)
-        elif g.kind == SWAP:
-            a, b = g.qubits
-            yield Gate(CNOT, (a, b))
-            yield Gate(CNOT, (b, a))
-            yield Gate(CNOT, (a, b))
         else:
             yield g
 

@@ -64,6 +64,7 @@ class RunConfig:
     recovery_mode: str = "single"
 
     def validate(self):
+        """Check every setting and build the auxiliary ``register`` once; returns ``self``."""
         if self.scenario not in SCENARIO_NAMES:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.backend not in BACKENDS:
@@ -72,12 +73,16 @@ class RunConfig:
             raise ConfigError("dt must be positive")
         if self.steps is not None and self.steps < 0:
             raise ConfigError("steps must be nonnegative")
-        if self.n_a < 1:
-            raise ConfigError("n_a must be at least 1")
         if self.offset_c <= 0:
             raise ConfigError("offset must be positive")
         if self.probe_every < 1:
             raise ConfigError("probe_every must be at least 1")
+        if self.shots is not None and self.shots < 1:
+            raise ConfigError("shots must be at least 1")
+        try:
+            self.register = PRegister(self.n_a, self.p_min, self.p_max)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad auxiliary register: {e}") from e
         return self
 
 
@@ -89,12 +94,16 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
     data.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f for f in RunConfig.__dataclass_fields__}
-    unknown = set(data) - known
+    unknown = set(data) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return RunConfig(**data).validate()
+    try:
+        return RunConfig(**data).validate()
+    except TypeError as e:
+        raise ConfigError(f"bad config value: {e}") from e
 
 
 def _parse_probes(items, layout: FieldLayout) -> list[ProbeRequest]:
@@ -188,10 +197,6 @@ def _resolve_outdir(config: RunConfig) -> Path:
     return out
 
 
-def _register(config: RunConfig) -> PRegister:
-    return PRegister(config.n_a, config.p_min, config.p_max)
-
-
 def _weights(config: RunConfig, scenario) -> np.ndarray | None:
     return symmetrizing_weights(scenario.spec) if config.weighted else None
 
@@ -205,7 +210,7 @@ def _oracle_backend(config, scenario, a, u0, dt, probes, manifest):
 
 
 def _lifted_exact_backend(config, scenario, a, u0, dt, probes, manifest):
-    runner = LiftedExactRunner(a, u0, _register(config), dt, _weights(config, scenario))
+    runner = LiftedExactRunner(a, u0, config.register, dt, _weights(config, scenario))
     manifest["skew_defect_used"] = skew_defect((runner.pair.h1 + 1j * runner.pair.h2).real)
     recover = partial(runner.recover, config.recovery_mode)
     return runner, recover, lambda writer: writer.exact(runner.time, recover())
@@ -217,7 +222,7 @@ def _circuit_backend(config, scenario, a, u0, dt, probes, manifest):
     c = config.offset_c
     sim_u0 = apply_offset(u0, reference.component, c) if probes else u0
     runner = TrotterRunner.from_generator(
-        a, sim_u0, _register(config), dt, _weights(config, scenario)
+        a, sim_u0, config.register, dt, _weights(config, scenario)
     )
     manifest["blocks_per_step"] = {
         "skew_part": len(runner.h2_blocks),
@@ -317,7 +322,7 @@ def execute_table(config: RunConfig, dts, times) -> Path:
         pack_initial_condition(scenario.spec, list(scenario.impulses)),
         dts,
         times,
-        _register(config),
+        config.register,
         recovery_mode=config.recovery_mode,
         weights=_weights(config, scenario),
     )
@@ -333,7 +338,7 @@ def execute_stats(config: RunConfig) -> dict:
     _, h1_blocks, h2_blocks = compile_generator(
         assemble_generator(scenario.spec), dt, _weights(config, scenario)
     )
-    c = emit_trotter_circuit(h1_blocks, h2_blocks, _register(config), steps)
+    c = emit_trotter_circuit(h1_blocks, h2_blocks, config.register, steps)
     stats = gate_stats(c)
     stats["steps"] = steps
     stats["n_qubits"] = c.n_qubits

@@ -282,6 +282,22 @@ class TestTableAndStats:
         assert stats["depth"] > 0
         assert (Path(config.outdir) / "gate_stats.json").exists()
 
+    def test_stats_with_fourier_register_pinned(self, tmp_path):
+        # Three auxiliary qubits: the lowered Fourier transform exchanges one qubit pair.
+        rc = main([
+            "stats", "--scenario", "2d-scatterer", "--nx", "8", "--n-a", "3",
+            "--p-min", "-4", "--p-max", "4", "--steps", "2", "--outdir", str(tmp_path / "s"),
+        ])
+        assert rc == 0
+        assert (tmp_path / "s" / "gate_stats.json").read_text() == json.dumps({
+            "abstract_depth": 983,
+            "depth": 75873,
+            "n_qubits": 11,
+            "single_qubit_count": 74039,
+            "steps": 2,
+            "two_qubit_count": 48148,
+        }, indent=2) + "\n"
+
 
 class TestMain:
     def test_run_exit_zero(self, tmp_path, capsys):
@@ -294,11 +310,27 @@ class TestMain:
         assert "Ez_T0.2.csv" in capsys.readouterr().out
 
     def test_bad_config_exit_two(self, tmp_path, capsys):
-        rc = main([
-            "run", "--scenario", "2d-empty", "--nx", "4", "--ny", "4",
-            "--dt", "-1", "--outdir", str(tmp_path / "r"),
-        ])
-        assert rc == 2
+        # Each (flags, --config JSON value) is refused before any artifact is written.
+        scatterer = ["--scenario", "2d-scatterer", "--nx", "8", "--steps", "2"]
+        bad = [
+            (["--scenario", "2d-empty", "--nx", "4", "--ny", "4", "--dt", "-1"], None),
+            (scatterer + ["--shots", "0", "--probes", "Ez:5:5"], None),
+            (scatterer + ["--shots", "-3", "--probes", "Ez:5:5"], None),
+            (scatterer + ["--p-min", "1", "--p-max", "0"], None),
+            (scatterer + ["--p-max", "-1"], None),
+            (scatterer, [1, 2]),
+            (scatterer, {"dt": "0.1"}),
+            (scatterer, {"n_a": 2.5}),
+        ]
+        for k, (args, config) in enumerate(bad):
+            out = tmp_path / f"r{k}"
+            argv = ["run", *args, "--outdir", str(out)]
+            if config is not None:
+                path = tmp_path / f"c{k}.json"
+                path.write_text(json.dumps(config))
+                argv += ["--config", str(path)]
+            assert main(argv) == 2, (args, config)
+            assert not out.exists() or not any(out.iterdir()), (args, config)
 
     def test_infeasible_recovery_exit_three(self, tmp_path, capsys):
         # Unweighted scatterer-free run with a window below the spectral bound.

@@ -90,6 +90,48 @@ PINNED_STEPS = [
 ]
 
 
+# sha256 of the statevector bytes: the runner after five steps and the emitted
+# two-step circuit, at dt 0.1.  ``tobytes`` also tells a signed zero apart.
+PINNED_STATES = [
+    ("2d-empty", 8, False, 1,
+     "94b322a809165e3fa33a0b1d1e6e7d565b1730f6f66e72768a365fa2212d60d4",
+     "01b0d962f703bcaf0797c469a0ca695677d85acc3666065f4a85e86b312ded36"),
+    ("2d-empty", 8, False, 3,
+     "5d7413bfbfb52d857305cf0e451e25494d0b2880e4e544fc52ffa87e27e78437",
+     "1aa711fb89b6815a1ab64d670acd4b3b14863729277c575680b66121a8b03b13"),
+    ("2d-empty", 8, True, 1,
+     "90ffedb514fa58de795f6e9c9f28e155fa8f61d3e4cffcf7e286cd8219c12b94",
+     "2046f2a33c3d0cfb63e44ff342b47077e870ead6b43bc944bb7e23b4d341e548"),
+    ("2d-empty", 8, True, 3,
+     "ff9bba67625c7c46a4c1d51853da0bd6c0517b5d94747bf971d97cb81fca1c72",
+     "12b48b28991e15650cb253eac80917fcc2009f37416e1527ebbde70978a26aa2"),
+    ("2d-scatterer", 8, False, 1,
+     "c8eadd3dbb21a745e2a11075bad53a169bc3fb50b1b8913eb2b49b617dffe4c8",
+     "4e79fadd1bdef9f66722a3f14177c8bc7de6abe0506af0bc8b744f043a77c18f"),
+    ("2d-scatterer", 8, False, 3,
+     "4836ceabf165066c1da4c54c643972f00ff9fa45737c5c3cd6576866d8793014",
+     "a00ef8d624e17d52091309e74f97129e3db2683c343404722c0a67160f2d0705"),
+    ("2d-scatterer", 8, True, 1,
+     "99c5a1bb670a06a87373529b6520b38ea6aec0ed20df32577613664299c6155d",
+     "3f44c23152995129bf07533453ea5bfd80c53c4fbab7ab02b022b6f9bd9d5e0e"),
+    ("2d-scatterer", 8, True, 3,
+     "3a7a63044995a49f631d9cca727b431e69da3ec41805efda00cbeb6d50ceab62",
+     "9065c6c7f3fdb0f62c567b7e335852ac83901a5e110e25c1f2c6fe529ecd2e86"),
+    ("3d-empty", 4, False, 1,
+     "51e7f544516c055cd6930d2cc3a772b3c5fa554a8521987ba9bc94b7af6bc011",
+     "bd44cdab163b7fdfda77ecb7272c49193c3bfb87ef6bb4acf7e2dbddaf096eaf"),
+    ("3d-empty", 4, False, 3,
+     "b806dd5571c0ef124e8251d5ae1911d6efa58c96f51da2b081adb69fb6bfa01e",
+     "901d4c556269926b223f2241ffbb55788bd4cd59edfa8aa4060b3e8d26da1c25"),
+    ("3d-empty", 4, True, 1,
+     "5577c460d7aa624bef9bf0aff1fe351ad62271dc0e8d50eae33cbb8f2d6cc99f",
+     "2d0a23112a30c7756012ba537740d8f43935d6e9027146565be25377d902cf25"),
+    ("3d-empty", 4, True, 3,
+     "6ab39031f6661cc492c5e42fe59104244f3ab65bbdbe5601348cc59f57797a67",
+     "22ef54681edd6ae445bd99d10aa20000cae76e17d3d928fb0554cd391806ba7c"),
+]
+
+
 class TestStepStructure:
     def test_h1_zero_has_no_ancilla_coupling(self):
         rng = np.random.default_rng(1)
@@ -163,6 +205,29 @@ class TestStepStructure:
         gates = step_gates([], blocks2, PRegister(n_a=1), n_sys=2)
         u = circuit_unitary(Circuit(2, tuple(gates)))
         assert np.linalg.norm(u - expm(1j * dt * h2)) < 1e-12
+
+
+class TestPinnedStates:
+    @pytest.mark.parametrize(
+        "name, nx, weighted, n_a, runner_digest, circuit_digest",
+        PINNED_STATES,
+        ids=["-".join(map(str, row[:4])) for row in PINNED_STATES],
+    )
+    def test_statevector_bytes_pinned(self, name, nx, weighted, n_a, runner_digest, circuit_digest):
+        scenario = build_scenario(name, nx=nx)
+        a = assemble_generator(scenario.spec)
+        w = symmetrizing_weights(scenario.spec) if weighted else None
+        reg = PRegister(1) if n_a == 1 else PRegister(3, -4.0, 4.0)
+        u0 = pack_initial_condition(scenario.spec, scenario.impulses)
+        runner = TrotterRunner.from_generator(a, u0, reg, 0.1, w)
+        runner.advance(5)
+        pair, h1, h2 = compile_generator(a, 0.1, w)
+        n_sys = int(math.log2(pair.dim))
+        c = emit_trotter_circuit(h1, h2, reg, 2, n_sys)
+        psi0 = np.zeros(1 << c.n_qubits, dtype=complex)
+        psi0[: len(u0.values)] = u0.values / np.linalg.norm(u0.values)
+        assert hashlib.sha256(runner.psi.tobytes()).hexdigest() == runner_digest
+        assert hashlib.sha256(simulate(c, psi0).tobytes()).hexdigest() == circuit_digest
 
 
 class TestEmittedCircuit:
