@@ -16,14 +16,23 @@ Fourier transform need):
 
 Basis convention: bit ``i`` of the state index is qubit ``i``; auxiliary
 qubits occupy the high bits.  A statevector is a plain complex array of
-length ``2**n_qubits``.  No gate writes to the array it is given, and gates
-apply strictly in sequence.
+length ``2**n_qubits``.  Neither ``apply_gate`` nor ``simulate`` writes to
+the array it is given, and gates apply strictly in sequence.
+
+``simulate`` binds a circuit once, on its first call (``Circuit.bound``):
+every gate becomes views of one buffer kept on the circuit, with its
+factors precomputed, so each call only does the arithmetic.  ``apply_gate``
+builds the same views over a copy of its argument and runs the same update,
+so both paths evaluate the same expression on the same operands and give
+the same bytes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
+from itertools import groupby
 
 import numpy as np
 
@@ -82,93 +91,129 @@ class Circuit:
                     f"gate {g.kind} on {g.qubits} out of range for {self.n_qubits} qubits"
                 )
 
+    @cached_property
+    def bound(self) -> tuple[np.ndarray, list]:
+        """The circuit bound to one buffer: the buffer and one in-place update per gate.
 
-def _pair_views(psi, target, controls, polarities):
-    """A copy of ``psi`` and two views into it: the target bit at 0 and at 1.
+        Built on the first ``simulate`` call and kept; ``simulate`` reuses it,
+        so one circuit must not be simulated from two threads at once.
+        """
+        buf = np.empty(1 << self.n_qubits, dtype=complex)
+        spare = np.empty_like(buf)
+        return buf, [_bind(g, buf, spare) for g in self.gates]
 
-    Both views cover only the amplitudes where every control matches its
-    polarity.  Every axis is indexed with a slice, so the views stay views
-    even when the operands cover every qubit.
+
+def _pair_view(buf, target, controls=(), polarities=()):
+    """A view into the flat statevector ``buf`` and the axis of its target bit.
+
+    The view covers the amplitudes where every control matches its
+    polarity; along ``axis`` (length 2) the target bit is 0, then 1.  Each
+    run of adjacent free qubits becomes one axis, and each run of adjacent
+    pinned qubits (controls and the target) one axis sliced at the pinned
+    values, so the view has a few axes however wide the register is.  Every
+    axis is indexed with a slice, so it stays a view even when the operands
+    cover every qubit.
     """
-    n = psi.shape[0].bit_length() - 1
-    out = psi.reshape((2,) * n).copy()
-    index = [slice(None)] * n
-    for c, p in zip(controls, polarities):
-        index[n - 1 - c] = slice(p, p + 1)
-    index[n - 1 - target] = slice(0, 1)
-    lo = out[tuple(index)]
-    index[n - 1 - target] = slice(1, 2)
-    return out, lo, out[tuple(index)]
+    n = buf.shape[0].bit_length() - 1
+    pinned = dict(zip(controls, polarities))
+    pinned[target] = 0
+    shape, index = [], []
+    for fixed, run in groupby(range(n - 1, -1, -1), key=pinned.__contains__):
+        run = list(run)  # descending, so run[-1] is the run's lowest qubit
+        shape.append(1 << len(run))
+        if not fixed:
+            index.append(slice(None))
+            continue
+        v = sum(pinned[q] << (q - run[-1]) for q in run)
+        if target in run:
+            axis, t = len(index), 1 << (target - run[-1])
+            index.append(slice(v, v + t + 1, t))
+        else:
+            index.append(slice(v, v + 1))
+    return buf.reshape(shape)[tuple(index)], axis
 
 
-def _apply_fourier(psi, qubits, inverse):
-    if tuple(qubits) != tuple(range(qubits[0], qubits[0] + len(qubits))):
-        raise QmaxwellError("fourier gate needs a contiguous ascending qubit range")
-    lo, m = qubits[0], len(qubits)
-    block = psi.reshape(-1, 1 << m, 1 << lo)
-    if inverse:
-        out = np.fft.fft(block, axis=1, norm="ortho")
-    else:
-        out = np.fft.ifft(block, axis=1, norm="ortho")
-    return out.reshape(-1)
+def _bind(g: Gate, buf: np.ndarray, spare: np.ndarray):
+    """The update of ``buf`` in place by gate ``g``, as a callable of no arguments.
+
+    The views and factors are computed here, once; the callable only does
+    the arithmetic.  ``spare`` is scratch as long as ``buf`` that updates
+    may share: it holds nothing between calls.
+    """
+    if g.kind == FOURIER:
+        qubits = g.qubits
+        if qubits != tuple(range(qubits[0], qubits[0] + len(qubits))):
+            raise QmaxwellError("fourier gate needs a contiguous ascending qubit range")
+        block = buf.reshape(-1, 1 << len(qubits), 1 << qubits[0])
+        fft = np.fft.fft if g.inverse else np.fft.ifft
+
+        def fourier():
+            block[...] = fft(block, axis=1, norm="ortho")
+
+        return fourier
+    controls, polarities = (g.qubits[:1], (1,)) if g.kind == CNOT else (g.controls, g.polarities)
+    pair, axis = _pair_view(buf, g.target, controls, polarities)
+    side = (slice(None),) * axis
+    lo, hi = pair[side + (slice(0, 1),)], pair[side + (slice(1, 2),)]
+    held = spare[: pair.size].reshape(pair.shape)
+    if g.kind in (X, CNOT):
+        swapped = pair[side + (slice(None, None, -1),)]
+
+        def exchange():
+            np.copyto(held, swapped)
+            np.copyto(pair, held)
+
+        return exchange
+    if g.kind == SUPERPOSE:
+        total, diff = held[side + (slice(0, 1),)], held[side + (slice(1, 2),)]
+
+        def superpose():
+            np.add(lo, hi, out=total)
+            np.subtract(lo, hi, out=diff)
+            np.multiply(held, _SQRT_HALF, out=pair)
+
+        return superpose
+    if g.kind == PHASE:
+        return partial(np.multiply, hi, np.exp(1j * g.angle), out=hi)
+    if g.kind == MCRZ:
+        lo_factor, hi_factor = np.exp(-0.5j * g.angle), np.exp(0.5j * g.angle)
+
+        def rotate():
+            np.multiply(lo, lo_factor, out=lo)
+            np.multiply(hi, hi_factor, out=hi)
+
+        return rotate
+    raise QmaxwellError(f"unknown gate kind {g.kind!r}")
 
 
 def apply_gate(psi: np.ndarray, g: Gate) -> np.ndarray:
-    if g.kind == FOURIER:
-        return _apply_fourier(psi, g.qubits, g.inverse)
-    controls, polarities = (g.qubits[:1], (1,)) if g.kind == CNOT else (g.controls, g.polarities)
-    out, lo, hi = _pair_views(psi, g.target, controls, polarities)
-    if g.kind in (X, CNOT):
-        lo[...], hi[...] = hi, lo.copy()  # lo is copied before it is overwritten
-    elif g.kind == SUPERPOSE:
-        lo[...], hi[...] = (lo + hi) * _SQRT_HALF, (lo - hi) * _SQRT_HALF
-    elif g.kind == PHASE:
-        hi *= np.exp(1j * g.angle)
-    elif g.kind == MCRZ:
-        lo *= np.exp(-0.5j * g.angle)
-        hi *= np.exp(0.5j * g.angle)
-    else:
-        raise QmaxwellError(f"unknown gate kind {g.kind!r}")
-    return out.reshape(-1)
+    """``g`` applied to a copy of the statevector ``psi``, which is left unchanged."""
+    out = np.array(psi, dtype=complex)
+    _bind(g, out, np.empty_like(out))()
+    return out
 
 
 def simulate(circuit: Circuit, psi: np.ndarray, check_norm: bool = True) -> np.ndarray:
     """Exact amplitude evolution of the circuit on the statevector ``psi``.
 
-    Amplitude updates for a single gate may be partitioned internally, but
-    gates always apply in sequence.  The norm is checked after every gate
-    when ``check_norm`` is set.
+    ``psi`` is copied into the circuit's bound buffer (``Circuit.bound``), the
+    gates update it in place strictly in sequence, and a fresh copy is
+    returned; ``psi`` itself is never written.  The norm is checked after
+    every gate when ``check_norm`` is set.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (1 << circuit.n_qubits,):
         raise QmaxwellError(
             f"state of shape {psi.shape} does not fit circuit on {circuit.n_qubits} qubits"
         )
-    ref = np.linalg.norm(psi) if check_norm else 0.0
-    for g in circuit.gates:
-        psi = apply_gate(psi, g)
-        if check_norm and abs(np.linalg.norm(psi) - ref) > 1e-10 * max(ref, 1.0):
+    buf, updates = circuit.bound
+    np.copyto(buf, psi)
+    ref = np.linalg.norm(buf) if check_norm else 0.0
+    for g, update in zip(circuit.gates, updates):
+        update()
+        if check_norm and abs(np.linalg.norm(buf) - ref) > 1e-10 * max(ref, 1.0):
             raise QmaxwellError(f"norm drifted after {g.kind} on {g.qubits}")
-    return psi
-
-
-def circuit_unitary(circuit: Circuit, max_qubits: int = 12) -> np.ndarray:
-    """Dense unitary of a circuit (testing helper, small registers only)."""
-    n = circuit.n_qubits
-    if n > max_qubits:
-        raise QmaxwellError(f"refusing dense unitary on {n} qubits")
-    dim = 1 << n
-    u = np.eye(dim, dtype=complex)
-    for k in range(dim):
-        psi = u[:, k].copy()
-        for g in circuit.gates:
-            psi = apply_gate(psi, g)
-        u[:, k] = psi
-    return u
-
-
-def gates_unitary(gates, n_qubits: int) -> np.ndarray:
-    return circuit_unitary(Circuit(n_qubits, tuple(gates)))
+    return buf.copy()
 
 
 def dagger(gates) -> list[Gate]:

@@ -24,7 +24,7 @@ import scipy
 
 from . import __version__
 from .circuit import gate_stats
-from .errors import ConfigError, IndeterminateSignError, QmaxwellError, RecoveryInfeasibleError
+from .errors import ConfigError, GridError, IndeterminateSignError, QmaxwellError, RecoveryInfeasibleError
 from .grid import FieldLayout, FieldState, component_name, pack_initial_condition, qubit_count
 from .lifting import LiftedExactRunner, PRegister
 from .measure import (
@@ -37,7 +37,7 @@ from .measure import (
     unit_offset_state,
 )
 from .operators import assemble_generator, skew_defect, symmetrizing_weights
-from .oracle import OracleRunner, grid_step, snapshot, trotter_error_table
+from .oracle import DIMENSION_CAP, OracleRunner, grid_step, snapshot, trotter_error_table
 from .scenarios import SCENARIO_NAMES, build_scenario
 from .trotter import TrotterRunner, compile_generator, emit_trotter_circuit
 
@@ -64,9 +64,19 @@ class RunConfig:
     recovery_mode: str = "single"
 
     def validate(self):
-        """Check every setting and build the auxiliary ``register`` once; returns ``self``."""
-        if self.scenario not in SCENARIO_NAMES:
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
+        """Check every setting; returns ``self``.
+
+        The scenario (``built_scenario``) and the auxiliary ``register`` are
+        built here, once.  The joint register (system qubits plus ``n_a``)
+        is checked against ``DIMENSION_CAP`` by arithmetic, before the
+        register allocates its ``2**n_a`` grid points.
+        """
+        try:
+            self.built_scenario = build_scenario(self.scenario, self.nx, self.ny, self.nz)
+            # Small grids can put the scenario's impulse on a pad slot.
+            pack_initial_condition(self.built_scenario.spec, list(self.built_scenario.impulses))
+        except (TypeError, GridError) as e:
+            raise ConfigError(f"bad grid: {e}") from e
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.dt is not None and self.dt <= 0:
@@ -80,6 +90,9 @@ class RunConfig:
         if self.shots is not None and self.shots < 1:
             raise ConfigError("shots must be at least 1")
         try:
+            n_joint = qubit_count(self.built_scenario.spec) + self.n_a
+            if n_joint > DIMENSION_CAP.bit_length() - 1:
+                raise ValueError(f"{n_joint} joint qubits exceed the cap of {DIMENSION_CAP} amplitudes")
             self.register = PRegister(self.n_a, self.p_min, self.p_max)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad auxiliary register: {e}") from e
@@ -259,7 +272,7 @@ def execute_run(config: RunConfig) -> dict:
     One loop drives every backend's step runner to each step with a snapshot
     or probe row, writes snapshots from the recovered field and reads probes.
     """
-    scenario = build_scenario(config.scenario, config.nx, config.ny, config.nz)
+    scenario = config.built_scenario
     spec = scenario.spec
     dt = config.dt if config.dt is not None else scenario.dt
     steps = config.steps if config.steps is not None else scenario.steps
@@ -316,7 +329,7 @@ def execute_run(config: RunConfig) -> dict:
 
 def execute_table(config: RunConfig, dts, times) -> Path:
     """Splitting-error table against the exact flow, in the original (unweighted) variables."""
-    scenario = build_scenario(config.scenario, config.nx, config.ny, config.nz)
+    scenario = config.built_scenario
     table = trotter_error_table(
         assemble_generator(scenario.spec),
         pack_initial_condition(scenario.spec, list(scenario.impulses)),
@@ -332,7 +345,7 @@ def execute_table(config: RunConfig, dts, times) -> Path:
 
 
 def execute_stats(config: RunConfig) -> dict:
-    scenario = build_scenario(config.scenario, config.nx, config.ny, config.nz)
+    scenario = config.built_scenario
     dt = config.dt if config.dt is not None else scenario.dt
     steps = config.steps if config.steps is not None else scenario.steps
     _, h1_blocks, h2_blocks = compile_generator(

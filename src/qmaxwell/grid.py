@@ -393,17 +393,3 @@ def pack_initial_condition(
         values[idx] += amp
     return FieldState(values=values, layout=layout, time=0.0)
 
-
-def unpack_impulses(state: FieldState) -> list[tuple[Component, int, int, int, float]]:
-    """Inverse of :func:`pack_initial_condition` for states that are sparse impulses."""
-    layout = state.layout
-    spec = layout.spec
-    out = []
-    nz = np.nonzero(state.values)[0]
-    for flat in nz:
-        block, rest = divmod(int(flat), layout.block_size)
-        k, rest = divmod(rest, spec.ny * spec.nx)
-        j, i = divmod(rest, spec.nx)
-        comp = layout.components[block]
-        out.append((comp, i, j, k, float(state.values[flat])))
-    return out

@@ -25,15 +25,16 @@ from .trotter import TrotterRunner
 log = logging.getLogger(__name__)
 
 _DENSE_LIMIT = 4096
-_DIMENSION_CAP = 1 << 16
+# The largest state, classical or joint, this desk-scale package takes on.
+DIMENSION_CAP = 1 << 16
 
 
 def exact_evolution(a, u0, t: float):
     """u(t) = exp(A t) u0; dense below dimension 4096, Krylov action above."""
     m = as_csr(a)
     dim = m.shape[0]
-    if dim > _DIMENSION_CAP:
-        raise ValueError(f"dimension {dim} exceeds the desk-scale cap {_DIMENSION_CAP}")
+    if dim > DIMENSION_CAP:
+        raise ValueError(f"dimension {dim} exceeds the desk-scale cap {DIMENSION_CAP}")
     values = u0.values if isinstance(u0, FieldState) else np.asarray(u0, dtype=float)
     if t == 0.0:
         out = values.copy()
@@ -76,24 +77,6 @@ def grid_step(t: float, dt: float) -> int:
     if steps < 0 or abs(steps * dt - t) > 1e-9:
         raise ConfigError(f"time {t} is not a nonnegative multiple of dt={dt}")
     return steps
-
-
-def rk4_evolution(a, u0, t: float, dt: float = 1e-4):
-    """Explicit fixed-step integration; independent cross-check of the exponential."""
-    m = as_csr(a)
-    values = u0.values if isinstance(u0, FieldState) else np.asarray(u0, dtype=float)
-    steps = max(1, round(t / dt))
-    h = t / steps
-    v = values.astype(float)
-    for _ in range(steps):
-        k1 = m @ v
-        k2 = m @ (v + 0.5 * h * k1)
-        k3 = m @ (v + 0.5 * h * k2)
-        k4 = m @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if isinstance(u0, FieldState):
-        return FieldState(values=v, layout=u0.layout, time=u0.time + t)
-    return v
 
 
 @dataclass(frozen=True)
@@ -201,12 +184,3 @@ def snapshot(state: FieldState, component: Component, plane: str = "xy", index: 
         return arr[:, index, :].copy()
     return arr[:, :, index].copy()
 
-
-def normalized_cross_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two field snapshots (scale-invariant)."""
-    av = np.asarray(a, dtype=float).ravel()
-    bv = np.asarray(b, dtype=float).ravel()
-    na, nb = np.linalg.norm(av), np.linalg.norm(bv)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(av @ bv / (na * nb))

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .grid import Component, GridSpec, ScattererBox
 
-SCENARIO_NAMES = ("2d-empty", "2d-scatterer", "3d-empty")
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -77,13 +75,29 @@ def scenario_3d_empty(nx: int = 16, ny: int = 16, nz: int = 16) -> Scenario:
     )
 
 
+# name -> (builder, default nx)
+_BUILDERS = {
+    "2d-empty": (scenario_2d_empty, 32),
+    "2d-scatterer": (scenario_2d_scatterer, 16),
+    "3d-empty": (scenario_3d_empty, 16),
+}
+SCENARIO_NAMES = tuple(_BUILDERS)
+
+
 def build_scenario(name: str, nx=None, ny=None, nz=None) -> Scenario:
-    if name == "2d-empty":
-        base = scenario_2d_empty(nx or 32, ny or (nx or 32))
-    elif name == "2d-scatterer":
-        base = scenario_2d_scatterer(nx or 16, ny or (nx or 16))
-    elif name == "3d-empty":
-        base = scenario_3d_empty(nx or 16, ny or (nx or 16), nz or (nx or 16))
-    else:
+    """The named scenario; a size left as ``None`` takes its default.
+
+    ``ny`` and ``nz`` default to ``nx``.  A 2D scenario has one z sample, so
+    any other ``nz`` is a ``ConfigError``; sizes the grid rejects raise
+    ``GridError``.
+    """
+    if name not in _BUILDERS:
         raise ConfigError(f"unknown scenario {name!r}; pick from {SCENARIO_NAMES}")
-    return base
+    build, default_nx = _BUILDERS[name]
+    nx = default_nx if nx is None else nx
+    ny = nx if ny is None else ny
+    if name == "3d-empty":
+        return build(nx, ny, nx if nz is None else nz)
+    if nz not in (None, 1):
+        raise ConfigError(f"scenario {name!r} is 2D, so nz must be 1, not {nz}")
+    return build(nx, ny)

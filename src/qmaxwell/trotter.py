@@ -2,7 +2,7 @@
 
 ``TrotterRunner`` is a :class:`~qmaxwell.lifting.LiftedRunner`: the base owns
 the lifted state, the clock, recovery and probe readout, and the runner only
-advances the state by simulating its compiled step circuit.
+advances the state: one ``simulate`` call of its step circuit per step.
 
 One step applies every block of the skew part, then conjugates the symmetric
 part's blocks by the auxiliary Fourier transform.  In frequency space the
@@ -219,11 +219,12 @@ def emit_trotter_circuit(
 
 
 class TrotterRunner(LiftedRunner):
-    """Lifted runner on the product circuit: one compiled step circuit, simulated per step.
+    """Lifted runner on the product circuit: one step circuit, simulated once per step.
 
     Prefer this over one monolithic circuit when intermediate states are
-    needed (probe traces, error tables); the per-step gate list is identical
-    every step, so it is compiled once.
+    needed (probe traces, error tables).  The per-step gate list is identical
+    every step, so it is compiled once, and bound to its buffer once, by the
+    first ``simulate`` call (see ``Circuit.bound``).
     """
 
     def __init__(

@@ -1,0 +1,71 @@
+"""Test-only references and measures that the library itself never calls.
+
+* ``rk4_evolution``: fixed-step Runge-Kutta integration, an independent
+  cross-check of the exact exponential;
+* ``normalized_cross_correlation``: cosine similarity of two snapshots;
+* ``circuit_unitary`` and ``gates_unitary``: dense unitaries of small
+  circuits;
+* ``unpack_impulses``: the inverse of ``pack_initial_condition`` on sparse
+  impulse states.
+"""
+
+import numpy as np
+
+from qmaxwell.circuit import Circuit, simulate
+from qmaxwell.errors import QmaxwellError
+from qmaxwell.grid import FieldState
+from qmaxwell.operators import as_csr
+
+
+def rk4_evolution(a, u0, t: float, dt: float = 1e-4):
+    """Explicit fixed-step integration of du/dt = A u up to ``t``."""
+    m = as_csr(a)
+    values = u0.values if isinstance(u0, FieldState) else np.asarray(u0, dtype=float)
+    steps = max(1, round(t / dt))
+    h = t / steps
+    v = values.astype(float)
+    for _ in range(steps):
+        k1 = m @ v
+        k2 = m @ (v + 0.5 * h * k1)
+        k3 = m @ (v + 0.5 * h * k2)
+        k4 = m @ (v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if isinstance(u0, FieldState):
+        return FieldState(values=v, layout=u0.layout, time=u0.time + t)
+    return v
+
+
+def normalized_cross_correlation(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity of two field snapshots (scale-invariant); 0 if either is zero."""
+    av = np.asarray(a, dtype=float).ravel()
+    bv = np.asarray(b, dtype=float).ravel()
+    na, nb = np.linalg.norm(av), np.linalg.norm(bv)
+    if na == 0 or nb == 0:
+        return 0.0
+    return float(av @ bv / (na * nb))
+
+
+def circuit_unitary(circuit: Circuit, max_qubits: int = 12) -> np.ndarray:
+    """Dense unitary of a circuit: column ``k`` is the circuit applied to basis state ``k``."""
+    n = circuit.n_qubits
+    if n > max_qubits:
+        raise QmaxwellError(f"refusing dense unitary on {n} qubits")
+    basis = np.eye(1 << n, dtype=complex)
+    return np.column_stack([simulate(circuit, e, check_norm=False) for e in basis])
+
+
+def gates_unitary(gates, n_qubits: int) -> np.ndarray:
+    return circuit_unitary(Circuit(n_qubits, tuple(gates)))
+
+
+def unpack_impulses(state: FieldState) -> list:
+    """``(component, i, j, k, amplitude)`` for every nonzero sample of ``state``."""
+    layout = state.layout
+    spec = layout.spec
+    out = []
+    for flat in np.nonzero(state.values)[0]:
+        block, rest = divmod(int(flat), layout.block_size)
+        k, rest = divmod(rest, spec.ny * spec.nx)
+        j, i = divmod(rest, spec.nx)
+        out.append((layout.components[block], i, j, k, float(state.values[flat])))
+    return out

@@ -14,7 +14,7 @@ import pytest
 from scipy.linalg import expm
 
 from qmaxwell.bell import AdjointPair, S01, block_generator, build_bell_block, compile_blocks, reconstruct, tensorize, pair_adjoints
-from qmaxwell.circuit import Circuit, gate_stats, gates_unitary
+from qmaxwell.circuit import Circuit, gate_stats
 from qmaxwell.grid import (
     Boundaries,
     Component,
@@ -50,12 +50,12 @@ from qmaxwell.operators import (
 from qmaxwell.oracle import (
     component_errors,
     exact_evolution,
-    normalized_cross_correlation,
     snapshot,
 )
 from qmaxwell.scenarios import scenario_2d_empty, scenario_2d_scatterer, scenario_3d_empty
 from qmaxwell.trotter import TrotterRunner, block_gates
 
+from helpers import gates_unitary, normalized_cross_correlation
 from stencil_oracle import apply_curl_2d, apply_curl_3d
 
 

@@ -27,6 +27,8 @@ from qmaxwell.operators import (
 )
 from qmaxwell.scenarios import build_scenario
 
+from helpers import gates_unitary
+
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -127,7 +129,6 @@ class TestPairAdjoints:
 
 
 def simulated_block_unitary(block, n=None):
-    from qmaxwell.circuit import gates_unitary
     from qmaxwell.trotter import block_gates
 
     return gates_unitary(block_gates(block), n or block.n)

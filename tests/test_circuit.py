@@ -13,9 +13,7 @@ from qmaxwell.circuit import (
     Circuit,
     Gate,
     apply_gate,
-    circuit_unitary,
     gate_stats,
-    gates_unitary,
     lowered_gates,
     mcrz_lowering,
     mcx_gates,
@@ -24,6 +22,8 @@ from qmaxwell.circuit import (
     simulate,
 )
 from qmaxwell.errors import QmaxwellError
+
+from helpers import circuit_unitary, gates_unitary
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -141,6 +141,21 @@ class TestGateBasics:
         out = apply_gate(psi, g)
         assert psi.tobytes() == before
         assert not np.shares_memory(out, psi)
+
+    def test_simulate_returns_independent_arrays(self):
+        # The circuit keeps one bound buffer; neither output aliases it or the other.
+        rng = np.random.default_rng(11)
+        c = Circuit(3, (Gate(SUPERPOSE, (0,)), Gate(CNOT, (0, 2)), rz(1, 0.3), Gate(FOURIER, (1, 2))))
+        psi1, psi2 = (rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(2))
+        inputs = psi1.tobytes(), psi2.tobytes()
+        out1 = simulate(c, psi1)
+        first = out1.tobytes()
+        out2 = simulate(c, psi2)
+        assert (psi1.tobytes(), psi2.tobytes()) == inputs
+        assert out1.tobytes() == first
+        assert out2.tobytes() == simulate(c, psi2).tobytes()
+        assert not np.shares_memory(out1, out2)
+        assert not any(np.shares_memory(out, c.bound[0]) for out in (out1, out2))
 
     def test_norm_check_catches_drift(self):
         psi = np.array([2.0, 0.0])  # non-unit on purpose

@@ -309,11 +309,15 @@ class TestMain:
         assert rc == 0
         assert "Ez_T0.2.csv" in capsys.readouterr().out
 
-    def test_bad_config_exit_two(self, tmp_path, capsys):
-        # Each (flags, --config JSON value) is refused before any artifact is written.
-        scatterer = ["--scenario", "2d-scatterer", "--nx", "8", "--steps", "2"]
+    def test_bad_config_exit_two(self, tmp_path, capsys, monkeypatch):
+        # Each (argv, --config JSON value) is refused before any artifact is written.
+        def no_register(*args):
+            raise AssertionError("the register was built before its size was checked")
+
+        scatterer = ["run", "--scenario", "2d-scatterer", "--nx", "8", "--steps", "2"]
+        empty = ["run", "--scenario", "2d-empty", "--steps", "1"]
         bad = [
-            (["--scenario", "2d-empty", "--nx", "4", "--ny", "4", "--dt", "-1"], None),
+            (["run", "--scenario", "2d-empty", "--nx", "4", "--ny", "4", "--dt", "-1"], None),
             (scatterer + ["--shots", "0", "--probes", "Ez:5:5"], None),
             (scatterer + ["--shots", "-3", "--probes", "Ez:5:5"], None),
             (scatterer + ["--p-min", "1", "--p-max", "0"], None),
@@ -321,14 +325,23 @@ class TestMain:
             (scatterer, [1, 2]),
             (scatterer, {"dt": "0.1"}),
             (scatterer, {"n_a": 2.5}),
+            (empty + ["--nx", "0"], None),
+            (empty + ["--nx", "4", "--ny", "0"], None),
+            (empty + ["--nx", "4", "--nz", "8"], None),
+            (empty + ["--nx", "6"], None),
+            (scatterer + ["--nx", "4"], None),
+            (["run", "--scenario", "3d-empty", "--nx", "4", "--nz", "2", "--steps", "1"], None),
+            (["stats", "--scenario", "2d-empty", "--nx", "4", "--n-a", "40"], None),
         ]
         for k, (args, config) in enumerate(bad):
             out = tmp_path / f"r{k}"
-            argv = ["run", *args, "--outdir", str(out)]
+            argv = [*args, "--outdir", str(out)]
             if config is not None:
                 path = tmp_path / f"c{k}.json"
                 path.write_text(json.dumps(config))
                 argv += ["--config", str(path)]
+            if "--n-a" in args:
+                monkeypatch.setattr("qmaxwell.cli.PRegister", no_register)
             assert main(argv) == 2, (args, config)
             assert not out.exists() or not any(out.iterdir()), (args, config)
 

@@ -12,8 +12,9 @@ from qmaxwell.grid import (
     ScattererBox,
     pack_initial_condition,
     qubit_count,
-    unpack_impulses,
 )
+
+from helpers import unpack_impulses
 
 
 def spec2d(n=4, **kw):

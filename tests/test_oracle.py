@@ -12,11 +12,11 @@ from qmaxwell.oracle import (
     component_errors,
     exact_evolution,
     grid_step,
-    normalized_cross_correlation,
-    rk4_evolution,
     snapshot,
     trotter_error_table,
 )
+
+from helpers import normalized_cross_correlation, rk4_evolution
 
 
 def impulse(spec, i, j, k=0):

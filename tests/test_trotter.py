@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from qmaxwell.bell import compile_blocks
-from qmaxwell.circuit import FOURIER, Circuit, circuit_unitary, simulate
+from qmaxwell.circuit import FOURIER, Circuit, apply_gate, simulate
 from qmaxwell.grid import Component, GridSpec, pack_initial_condition
 from qmaxwell.lifting import (
     HermitianPair,
@@ -27,6 +27,8 @@ from qmaxwell.trotter import (
     xi_bit_scales,
 )
 import scipy.sparse as sp
+
+from helpers import circuit_unitary
 
 
 def skew(rng, n):
@@ -228,6 +230,51 @@ class TestPinnedStates:
         psi0[: len(u0.values)] = u0.values / np.linalg.norm(u0.values)
         assert hashlib.sha256(runner.psi.tobytes()).hexdigest() == runner_digest
         assert hashlib.sha256(simulate(c, psi0).tobytes()).hexdigest() == circuit_digest
+
+
+def pinned_runner(name, nx, weighted, n_a):
+    """The runner of a ``PINNED_STATES`` row, before any step."""
+    scenario = build_scenario(name, nx=nx)
+    a = assemble_generator(scenario.spec)
+    w = symmetrizing_weights(scenario.spec) if weighted else None
+    reg = PRegister(1) if n_a == 1 else PRegister(3, -4.0, 4.0)
+    u0 = pack_initial_condition(scenario.spec, scenario.impulses)
+    return TrotterRunner.from_generator(a, u0, reg, 0.1, w)
+
+
+class TestChunkedStepping:
+    @pytest.mark.parametrize(
+        "name, nx, weighted, n_a",
+        [
+            ("2d-scatterer", 8, True, 1),
+            ("2d-scatterer", 8, True, 3),
+            ("2d-scatterer", 8, False, 1),
+            ("2d-scatterer", 8, False, 3),
+            ("3d-empty", 4, True, 1),
+        ],
+    )
+    def test_chunks_and_gate_loop_give_the_same_bytes(self, name, nx, weighted, n_a):
+        # One advance(12), twelve advance(1) and a per-gate apply_gate loop.
+        whole, stepped = pinned_runner(name, nx, weighted, n_a), pinned_runner(name, nx, weighted, n_a)
+        psi = whole.psi
+        whole.advance(12)
+        for _ in range(12):
+            stepped.advance(1)
+        for _ in range(12):
+            for g in stepped.step_circuit.gates:
+                psi = apply_gate(psi, g)
+        assert whole.steps_done == stepped.steps_done == 12
+        assert whole.psi.tobytes() == stepped.psi.tobytes() == psi.tobytes()
+
+    def test_held_arrays_survive_a_later_advance(self):
+        runner = pinned_runner("2d-scatterer", 8, True, 3)
+        runner.advance(2)
+        psi, (amps, scales), field = runner.psi, runner.readout(), runner.recover()
+        held = [x.copy() for x in (psi, amps, scales, field.values)]
+        runner.advance(3)
+        for kept, now in zip(held, (psi, amps, scales, field.values)):
+            assert kept.tobytes() == now.tobytes()
+        assert not np.shares_memory(runner.psi, psi)
 
 
 class TestEmittedCircuit:
