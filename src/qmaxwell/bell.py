@@ -9,9 +9,11 @@ term count linear in the qubit number instead of one term per matrix entry;
 boundary and scatterer deviations fall out as a handful of extra strings.
 
 Each off-diagonal string appears together with its adjoint.  A matched pair
-compiles into one circuit block: a basis change built from a superposition
-gate, a fan-out of flips, and bit-fixing X gates, conjugating one
-multi-controlled phase rotation.
+is one :class:`BellBlock`, compiled once per operator: its circuit is a
+basis change built from a superposition gate, a fan-out of flips, and
+bit-fixing X gates, conjugating one multi-controlled phase rotation.  The
+block holds no time step; the step size scales the rotation angle only
+where the gates are emitted (``trotter.block_gates``).
 """
 
 from __future__ import annotations
@@ -123,12 +125,20 @@ def tensorize(h) -> list[TensorTerm]:
 
 
 @dataclass(frozen=True)
-class AdjointPair:
-    """Matched ``(S, S^dagger)`` string pair of a Hermitian operator.
+class BellBlock:
+    """Matched ``(T, T^dagger)`` string pair of a Hermitian operator, compiled as one circuit block.
 
     The pair contributes ``c*T + conj(c)*T^dagger`` where ``T`` is the
-    representative string; ``weight`` and ``phase`` are its polar parts, so
-    the contribution is ``weight * (e^{i phase} T + h.c.)``.
+    representative string ``factors``; ``weight`` and ``phase`` are the polar
+    parts of ``c``, so the contribution is ``weight * (e^{i phase} T + h.c.)``.
+    A block belongs to the operator and holds no time step: a step of size
+    ``dt`` rotates it by ``2 * weight * dt`` (``trotter.block_gates``).
+
+    ``factors`` runs most significant qubit first as in :class:`TensorTerm`,
+    with at least one flip factor; every qubit role derives from it.  Flip
+    qubits carry the basis change, qubits holding projector factors become
+    polarity controls, and identity qubits are untouched.  Qubit indices
+    below count from the least significant qubit (index 0).
     """
 
     coefficient: complex
@@ -149,71 +159,6 @@ class AdjointPair:
     def matrix(self) -> np.ndarray:
         t = TensorTerm(self.coefficient, self.factors).matrix()
         return t + t.conj().T
-
-
-def pair_adjoints(terms) -> tuple[list[AdjointPair], list[TensorTerm]]:
-    """Match every off-diagonal string with its adjoint.
-
-    Returns the matched pairs plus the diagonal residue.  An off-diagonal
-    string without its adjoint partner, a mismatched coefficient, or a
-    diagonal string with a non-real coefficient all mean the input was not
-    Hermitian and raise :class:`HermiticityError`.
-    """
-    diag = []
-    by_factors = {}
-    for t in terms:
-        if t.is_diagonal:
-            if abs(t.coefficient.imag) > 1e-12 * max(1.0, abs(t.coefficient)):
-                raise HermiticityError(
-                    f"diagonal term {t.factors} has complex coefficient {t.coefficient}"
-                )
-            diag.append(t)
-        else:
-            if t.factors in by_factors:
-                raise HermiticityError(f"duplicate term {t.factors}")
-            by_factors[t.factors] = t
-    pairs = []
-    seen = set()
-    for factors, t in by_factors.items():
-        if factors in seen:
-            continue
-        adj = t.adjoint_factors()
-        partner = by_factors.get(adj)
-        if partner is None:
-            raise HermiticityError(f"term {factors} has no adjoint partner")
-        if abs(partner.coefficient - t.coefficient.conjugate()) > 1e-12 * max(
-            1.0, abs(t.coefficient)
-        ):
-            raise HermiticityError(
-                f"adjoint coefficients differ for {factors}: "
-                f"{t.coefficient} vs {partner.coefficient}"
-            )
-        seen.add(factors)
-        seen.add(adj)
-        rep = t if factors <= adj else partner
-        pairs.append(AdjointPair(coefficient=rep.coefficient, factors=rep.factors))
-    pairs.sort(key=lambda p: p.factors)
-    return pairs, diag
-
-
-@dataclass(frozen=True)
-class BellBlock:
-    """Compiled circuit block for one adjoint pair and a time step.
-
-    ``factors`` is the pair's representative string, most significant qubit
-    first as in :class:`TensorTerm`, with at least one flip factor; every
-    qubit role derives from it.  ``theta`` is the rotation angle
-    ``2 * weight * dt`` and ``phase`` the pair's coefficient phase.
-    Qubit indices below count from the least significant qubit (index 0).
-    """
-
-    factors: tuple[str, ...]
-    theta: float
-    phase: float
-
-    @property
-    def n(self) -> int:
-        return len(self.factors)
 
     def factor(self, q: int) -> str:
         """Factor tag acting on qubit ``q``."""
@@ -248,40 +193,58 @@ class BellBlock:
         return tuple(qubits), tuple(polarities)
 
 
-def build_bell_block(pair: AdjointPair, dt: float) -> BellBlock:
-    """Compile an adjoint pair into a circuit block.
+def pair_adjoints(terms) -> tuple[list[BellBlock], list[TensorTerm]]:
+    """Match every off-diagonal string with its adjoint.
 
-    Flip qubits carry the basis change; qubits holding projector factors
-    become polarity controls; identity qubits are untouched.
+    Returns one block per matched pair plus the diagonal residue.  An
+    off-diagonal string without its adjoint partner, a mismatched
+    coefficient, or a diagonal string with a non-real coefficient all mean
+    the input was not Hermitian and raise :class:`HermiticityError`.
     """
-    return BellBlock(pair.factors, theta=2.0 * pair.weight * dt, phase=pair.phase)
+    diag = []
+    by_factors = {}
+    for t in terms:
+        if t.is_diagonal:
+            if abs(t.coefficient.imag) > 1e-12 * max(1.0, abs(t.coefficient)):
+                raise HermiticityError(
+                    f"diagonal term {t.factors} has complex coefficient {t.coefficient}"
+                )
+            diag.append(t)
+        else:
+            if t.factors in by_factors:
+                raise HermiticityError(f"duplicate term {t.factors}")
+            by_factors[t.factors] = t
+    blocks = []
+    seen = set()
+    for factors, t in by_factors.items():
+        if factors in seen:
+            continue
+        adj = t.adjoint_factors()
+        partner = by_factors.get(adj)
+        if partner is None:
+            raise HermiticityError(f"term {factors} has no adjoint partner")
+        if abs(partner.coefficient - t.coefficient.conjugate()) > 1e-12 * max(
+            1.0, abs(t.coefficient)
+        ):
+            raise HermiticityError(
+                f"adjoint coefficients differ for {factors}: "
+                f"{t.coefficient} vs {partner.coefficient}"
+            )
+        seen.add(factors)
+        seen.add(adj)
+        rep = t if factors <= adj else partner
+        blocks.append(BellBlock(coefficient=rep.coefficient, factors=rep.factors))
+    blocks.sort(key=lambda b: b.factors)
+    return blocks, diag
 
 
-def compile_blocks(h, dt: float) -> list[BellBlock]:
-    """Tensorize, pair, and compile an operator into circuit blocks.
+def compile_blocks(h) -> list[BellBlock]:
+    """Tensorize an operator and pair its strings into circuit blocks.
 
     A diagonal string has no flip qubit and so no block; the curl generators
     have a zero diagonal (see ``DECISIONS.md``), so one is refused.
     """
-    pairs, diag = pair_adjoints(tensorize(h))
+    blocks, diag = pair_adjoints(tensorize(h))
     if diag:
         raise ValueError(f"diagonal string {diag[0].factors} cannot be compiled to a block")
-    return [build_bell_block(p, dt) for p in pairs]
-
-
-def reconstruct(items) -> np.ndarray:
-    """Sum term (or pair) matrices densely; verification helper for small dims."""
-    items = list(items)
-    if not items:
-        return np.zeros((1, 1), dtype=complex)
-    dim = 1 << items[0].n
-    out = np.zeros((dim, dim), dtype=complex)
-    for it in items:
-        out += it.matrix()
-    return out
-
-
-def block_generator(block: BellBlock, dt: float) -> np.ndarray:
-    """Dense Hermitian generator whose ``exp(i * dt * .)`` the block realizes."""
-    w = block.theta / (2.0 * dt)
-    return AdjointPair(w * cmath.exp(1j * block.phase), block.factors).matrix()
+    return blocks

@@ -384,10 +384,24 @@ def lowered_gates(circuit: Circuit):
         if g.kind == MCRZ and g.controls:
             yield from mcrz_lowering(g, circuit.n_qubits)
         elif g.kind == FOURIER:
-            qft = Circuit(circuit.n_qubits, tuple(qft_gates(g.qubits, g.inverse)))
-            yield from lowered_gates(qft)
+            yield from qft_gates(g.qubits, g.inverse)
         else:
             yield g
+
+
+def _depth_and_counts(gates, n_qubits: int) -> tuple[int, int, int]:
+    """Greedy depth of a gate stream, its CNOT count and its count of other gates, in one pass."""
+    two = single = 0
+    frontier = [0] * n_qubits
+    for g in gates:
+        if g.kind == CNOT:
+            two += 1
+        else:
+            single += 1
+        layer = 1 + max(frontier[q] for q in g.qubits)
+        for q in g.qubits:
+            frontier[q] = layer
+    return max(frontier, default=0), two, single
 
 
 def gate_stats(circuit: Circuit) -> dict:
@@ -396,28 +410,14 @@ def gate_stats(circuit: Circuit) -> dict:
     ``abstract_depth`` additionally reports the depth of the circuit as
     emitted (multi-controlled rotations and Fourier transforms counted as
     single gates), which is the granularity used for headline depth figures.
+    The lowered gates are streamed, never held as a list.
     """
-    two = single = 0
-    frontier = [0] * circuit.n_qubits
-    for g in lowered_gates(circuit):
-        if g.kind == CNOT:
-            two += 1
-        else:
-            single += 1
-        layer = 1 + max(frontier[q] for q in g.qubits)
-        for q in g.qubits:
-            frontier[q] = layer
-    depth = max(frontier, default=0)
-
-    afrontier = [0] * circuit.n_qubits
-    for g in circuit.gates:
-        layer = 1 + max(afrontier[q] for q in g.qubits)
-        for q in g.qubits:
-            afrontier[q] = layer
+    depth, two, single = _depth_and_counts(lowered_gates(circuit), circuit.n_qubits)
+    abstract_depth, _, _ = _depth_and_counts(circuit.gates, circuit.n_qubits)
     return {
-        "two_qubit_count": int(two),
-        "single_qubit_count": int(single),
+        "two_qubit_count": two,
+        "single_qubit_count": single,
         "depth": depth,
-        "abstract_depth": max(afrontier, default=0),
+        "abstract_depth": abstract_depth,
     }
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import closing, nullcontext
@@ -79,12 +80,14 @@ class RunConfig:
             raise ConfigError(f"bad grid: {e}") from e
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError("dt must be positive and finite")
         if self.steps is not None and self.steps < 0:
             raise ConfigError("steps must be nonnegative")
-        if self.offset_c <= 0:
-            raise ConfigError("offset must be positive")
+        if not (math.isfinite(self.offset_c) and self.offset_c > 0):
+            raise ConfigError("offset must be positive and finite")
+        if self.snapshot_times is not None and not all(map(math.isfinite, self.snapshot_times)):
+            raise ConfigError("snapshot times must be finite")
         if self.probe_every < 1:
             raise ConfigError("probe_every must be at least 1")
         if self.shots is not None and self.shots < 1:
@@ -349,9 +352,9 @@ def execute_stats(config: RunConfig) -> dict:
     dt = config.dt if config.dt is not None else scenario.dt
     steps = config.steps if config.steps is not None else scenario.steps
     _, h1_blocks, h2_blocks = compile_generator(
-        assemble_generator(scenario.spec), dt, _weights(config, scenario)
+        assemble_generator(scenario.spec), _weights(config, scenario)
     )
-    c = emit_trotter_circuit(h1_blocks, h2_blocks, config.register, steps)
+    c = emit_trotter_circuit(h1_blocks, h2_blocks, config.register, steps, dt)
     stats = gate_stats(c)
     stats["steps"] = steps
     stats["n_qubits"] = c.n_qubits

@@ -313,10 +313,6 @@ class FieldLayout:
             for *vs, fill in zip(*parts, spare)
         ))
 
-    def is_pad(self, component: Component, i: int, j: int, k: int = 0) -> bool:
-        """True for the zero-pad slot at the high end of a half-offset axis."""
-        return bool(self.classify(component, i, j, k).pad)
-
     def is_active(self, component: Component, i: int, j: int, k: int = 0) -> bool:
         """True for a free degree of freedom (not pad, frozen, or excluded)."""
         return bool(self.classify(component, i, j, k).active)

@@ -28,24 +28,32 @@ from .operators import apply_weights, as_csr
 
 @dataclass(frozen=True)
 class HermitianPair:
-    """Hermitian split of a real generator: ``A = h1 + i*h2``."""
+    """Hermitian split ``D A D^-1 = h1 + i*h2`` of a real generator ``A``.
+
+    ``weights`` is the diagonal of the similarity scaling ``D`` that the
+    split was taken under (all ones when unscaled): the frame that lifting
+    enters and recovery leaves.
+    """
 
     h1: sp.csr_matrix
     h2: sp.csr_matrix
+    weights: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.h1.shape[0]
 
 
-def hermitian_split(a) -> HermitianPair:
-    """Split a real square operator into its Hermitian components.
+def hermitian_split(a, weights: np.ndarray | None = None) -> HermitianPair:
+    """Split a real square operator, similarity-scaled by ``weights``, into its Hermitian components.
 
-    ``h1 = (A + A^T)/2`` is real symmetric and ``h2 = (A - A^T)/(2i)`` purely
-    imaginary Hermitian; the reconstruction ``h1 + i*h2 = A`` is exact up to
+    With ``weights`` the operator split is ``M = D A D^-1`` for
+    ``D = diag(weights)``, else ``M = A`` and the pair records unit weights.
+    ``h1 = (M + M^T)/2`` is real symmetric and ``h2 = (M - M^T)/(2i)`` purely
+    imaginary Hermitian; the reconstruction ``h1 + i*h2 = M`` is exact up to
     rounding.
     """
-    m = as_csr(a)
+    m = as_csr(a if weights is None else apply_weights(a, weights))
     if m.shape[0] != m.shape[1]:
         raise ValueError("generator must be square")
     mt = m.T.tocsr()
@@ -66,7 +74,7 @@ def hermitian_split(a) -> HermitianPair:
         raise HermiticityError("h1 is not Hermitian")
     if sp.linalg.norm(h2 - h2.conj().T) > 1e-14 * scale:
         raise HermiticityError("h2 is not Hermitian")
-    return HermitianPair(h1=h1, h2=h2)
+    return HermitianPair(h1=h1, h2=h2, weights=np.ones(m.shape[0]) if weights is None else weights)
 
 
 def lifted_hamiltonian(pair: HermitianPair, xi: float) -> sp.csr_matrix:
@@ -85,9 +93,11 @@ class PRegister:
     def __post_init__(self):
         if self.n_a < 1:
             raise ValueError("need at least one auxiliary qubit")
+        if not (math.isfinite(self.p_min) and math.isfinite(self.p_max)):
+            raise ValueError("p window must be finite")
         if self.p_max <= self.p_min:
             raise ValueError("p_max must exceed p_min")
-        if self.p_values[-1] <= 0:
+        if self.p_star <= 0:
             raise ValueError("auxiliary grid must contain a positive point")
 
     @property
@@ -102,6 +112,16 @@ class PRegister:
     def p_values(self) -> np.ndarray:
         k = np.arange(self.n_points)
         return self.p_min + (k + 0.5) * self.dp
+
+    @property
+    def p_star_index(self) -> int:
+        """Slice of the recovery point ``p*``, the largest grid point."""
+        return self.n_points - 1
+
+    @property
+    def p_star(self) -> float:
+        """The recovery point: the solution is read from this slice, rescaled by ``e^{p*}``."""
+        return float(self.p_values[self.p_star_index])
 
     @property
     def xi_values(self) -> np.ndarray:
@@ -184,11 +204,11 @@ def recovery_bound(pair: HermitianPair, t: float) -> float:
 def feasible_bound(pair: HermitianPair, reg: PRegister, t: float) -> float:
     """The recovery bound at ``t``, once the recovery point ``p*`` is known to exceed it.
 
-    ``p*`` is the largest auxiliary grid point; a window whose ``p*`` does not
-    exceed the bound raises :class:`RecoveryInfeasibleError`.
+    ``p*`` is ``reg.p_star``; a window whose ``p*`` does not exceed the bound
+    raises :class:`RecoveryInfeasibleError`.
     """
     bound = recovery_bound(pair, t)
-    p_star = reg.p_values[-1]
+    p_star = reg.p_star
     if p_star <= bound:
         raise RecoveryInfeasibleError(
             f"largest auxiliary point {p_star:.4g} does not exceed the spectral "
@@ -201,19 +221,16 @@ def feasible_bound(pair: HermitianPair, reg: PRegister, t: float) -> float:
 class LiftedRunner:
     """The lifted state of ``D u0`` and its read-back; subclasses supply ``advance``.
 
-    ``psi`` is the unit-norm joint state (auxiliary index outer), ``norm`` its
-    physical scale and ``weights`` the similarity scaling ``D`` (identity when
-    ``None``) under which ``pair`` was split; recovery maps back to the
-    original variables either way.
+    ``psi`` is the unit-norm joint state (auxiliary index outer) and ``norm``
+    its physical scale.  ``D`` is ``pair.weights``, the similarity scaling
+    that ``pair`` was split under; recovery divides it back out, so results
+    are in the original variables either way.
     """
 
-    def __init__(
-        self, pair: HermitianPair, u0: FieldState, reg: PRegister, dt: float,
-        weights: np.ndarray | None = None,
-    ):
-        lifted = initial_lifted_state(u0, reg, weights)
+    def __init__(self, pair: HermitianPair, u0: FieldState, reg: PRegister, dt: float):
+        lifted = initial_lifted_state(u0, reg, pair.weights)
         self.pair, self.psi, self.norm = pair, lifted.values, lifted.norm
-        self.reg, self.dt, self.layout, self.weights = reg, dt, u0.layout, weights
+        self.reg, self.dt, self.layout = reg, dt, u0.layout
         self.steps_done = 0
 
     @property
@@ -223,25 +240,21 @@ class LiftedRunner:
     def recover(self, mode: str = "single") -> FieldState:
         """Physical field at the current time."""
         return recover_solution(
-            self.psi, self.reg, self.pair, self.time, self.norm, self.layout, mode, self.weights
+            self.psi, self.reg, self.pair, self.time, self.norm, self.layout, mode
         )
 
     def readout(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``p*`` slice of ``psi`` and each sample's physical scale ``e^{p*} * norm / w``."""
         feasible_bound(self.pair, self.reg, self.time)
-        scale = math.exp(self.reg.p_values[-1]) * self.norm
-        amps = self.psi.reshape(self.reg.n_points, -1)[-1]
-        if self.weights is None:
-            return amps, np.full(amps.shape, scale)
-        return amps, scale / self.weights
+        amps = self.psi.reshape(self.reg.n_points, -1)[self.reg.p_star_index]
+        return amps, math.exp(self.reg.p_star) * self.norm / self.pair.weights
 
 
 class LiftedExactRunner(LiftedRunner):
     """Lifted runner without a circuit: ``evolve_lifted_exact`` by ``steps * dt``."""
 
     def __init__(self, a, u0: FieldState, reg: PRegister, dt: float, weights: np.ndarray | None = None):
-        pair = hermitian_split(a if weights is None else apply_weights(a, weights))
-        super().__init__(pair, u0, reg, dt, weights)
+        super().__init__(hermitian_split(a, weights), u0, reg, dt)
 
     def advance(self, steps: int) -> None:
         if steps:
@@ -257,15 +270,15 @@ def recover_solution(
     norm: float = 1.0,
     layout: FieldLayout | None = None,
     mode: str = "single",
-    weights: np.ndarray | None = None,
 ):
     """Read the physical solution back from the lifted state.
 
-    ``mode="single"`` evaluates the largest grid point ``p*`` and rescales by
-    ``e^{p*}``; it must lie above the spectral bound or recovery is refused.
-    ``mode="lsq"`` solves the least-squares fit over every point above the
-    bound instead.  ``norm`` restores the physical scale of a normalized
-    simulation state, and ``weights`` undoes a similarity scaling.  Returns
+    ``mode="single"`` evaluates the recovery point ``p*`` (``reg.p_star``)
+    and rescales by ``e^{p*}``; it must lie above the spectral bound or
+    recovery is refused.  ``mode="lsq"`` solves the least-squares fit over
+    every point above the bound instead.  ``norm`` restores the physical
+    scale of a normalized simulation state, and dividing by ``pair.weights``
+    undoes the similarity scaling the pair was split under.  Returns
     a :class:`FieldState` when ``layout`` is given (imaginary residue, pure
     p-discretization noise, is dropped), else the real vector.
     """
@@ -273,16 +286,14 @@ def recover_solution(
     bound = feasible_bound(pair, reg, t)
     p = reg.p_values
     if mode == "single":
-        u = math.exp(p[-1]) * norm * v[-1]
+        u = math.exp(reg.p_star) * norm * v[reg.p_star_index]
     elif mode == "lsq":
         sel = p > bound
         w = np.exp(-p[sel])
         u = (w[:, None] * (norm * v[sel])).sum(axis=0) / np.sum(w * w)
     else:
         raise ValueError(f"unknown recovery mode {mode!r}")
-    u = u.real
-    if weights is not None:
-        u = u / weights
+    u = u.real / pair.weights
     if layout is not None:
         return FieldState(values=u, layout=layout, time=t)
     return u

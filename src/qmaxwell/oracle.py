@@ -9,6 +9,7 @@ step sizes and horizons.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -20,7 +21,7 @@ from .errors import ConfigError
 from .grid import Component, FieldState
 from .lifting import PRegister
 from .operators import as_csr
-from .trotter import TrotterRunner
+from .trotter import TrotterRunner, compile_generator
 
 log = logging.getLogger(__name__)
 
@@ -72,7 +73,15 @@ class OracleRunner:
 
 
 def grid_step(t: float, dt: float) -> int:
-    """Number of steps of size ``dt`` that reach ``t``; ConfigError off that grid."""
+    """Number of steps of size ``dt`` that reach ``t``; ConfigError off that grid.
+
+    A step that is not positive and finite, or a time that is not finite, is
+    a ConfigError too.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"step {dt} must be positive and finite")
+    if not math.isfinite(t):
+        raise ConfigError(f"time {t} must be finite")
     steps = round(t / dt)
     if steps < 0 or abs(steps * dt - t) > 1e-9:
         raise ConfigError(f"time {t} is not a nonnegative multiple of dt={dt}")
@@ -137,19 +146,22 @@ def trotter_error_table(
 ) -> ErrorTable:
     """Run the circuit pipeline over (dt, T) pairs and tabulate recovery errors.
 
-    Horizons must be multiples of each step size (ConfigError otherwise).
-    One runner per dt walks the requested horizons in order against one
-    exact reference per horizon; ``weights`` runs it in similarity-scaled
-    variables (see ``TrotterRunner``).
+    Horizons must be multiples of each step size (ConfigError otherwise),
+    checked for every pair before any evolution.  The generator is compiled
+    once; one runner per dt walks the requested horizons in order against
+    one exact reference per horizon.  ``weights`` runs it in
+    similarity-scaled variables (see ``TrotterRunner``).
     """
     layout = u0.layout
     times = sorted(times)
+    steps = [[grid_step(t, dt) for t in times] for dt in dts]
     references = [exact_evolution(a, u0, t) for t in times]
+    pair, h1_blocks, h2_blocks = compile_generator(a, weights)
     rows = []
-    for dt in dts:
-        runner = TrotterRunner.from_generator(a, u0, reg, dt, weights)
-        for t_target, reference in zip(times, references):
-            runner.advance(grid_step(t_target, dt) - runner.steps_done)
+    for dt, dt_steps in zip(dts, steps):
+        runner = TrotterRunner(pair, h1_blocks, h2_blocks, u0, reg, dt)
+        for t_target, s, reference in zip(times, dt_steps, references):
+            runner.advance(s - runner.steps_done)
             recovered = runner.recover(mode=recovery_mode)
             rows.append(
                 ErrorRow(time=t_target, dt=dt, errors=component_errors(recovered, reference))

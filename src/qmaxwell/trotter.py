@@ -36,7 +36,6 @@ from .circuit import (
 )
 from .grid import FieldState
 from .lifting import HermitianPair, LiftedRunner, PRegister, hermitian_split
-from .operators import apply_weights
 
 # Fixed shuffle seed for the canonical block order: a decohered order keeps
 # same-axis splitting errors from accumulating coherently (2-3x smaller
@@ -52,18 +51,16 @@ def order_blocks(blocks: list[BellBlock]) -> list[BellBlock]:
 
 
 def compile_generator(
-    a, dt: float, weights: np.ndarray | None = None
+    a, weights: np.ndarray | None = None
 ) -> tuple[HermitianPair, list[BellBlock], list[BellBlock]]:
-    """Hermitian split of ``A`` (or of ``D A D^-1`` with ``D = diag(weights)``) and its ordered blocks.
+    """Hermitian split of ``A`` (of ``D A D^-1`` with ``D = diag(weights)``) and its ordered blocks.
 
-    Returns the pair and the ``h1`` and ``h2`` block lists of one step.
+    Returns the pair, which records ``weights``, and the ``h1`` and ``h2``
+    block lists.  Nothing here depends on the step size, so one compiled
+    generator serves every ``dt`` (``step_gates`` applies it).
     """
-    pair = hermitian_split(a if weights is None else apply_weights(a, weights))
-    return (
-        pair,
-        order_blocks(compile_blocks(pair.h1, dt)),
-        order_blocks(compile_blocks(pair.h2, dt)),
-    )
+    pair = hermitian_split(a, weights)
+    return pair, order_blocks(compile_blocks(pair.h1)), order_blocks(compile_blocks(pair.h2))
 
 
 def _o_transform_gates(block: BellBlock) -> list[Gate]:
@@ -84,10 +81,11 @@ def _o_transform_gates(block: BellBlock) -> list[Gate]:
 
 def block_gates(
     block: BellBlock,
+    dt: float,
     extra_controls: tuple[int, ...] = (),
     angle_scales: tuple[float, ...] = (1.0,),
 ) -> list[Gate]:
-    """Gate sequence realizing ``exp(i * theta_scaled * generator)`` per scale.
+    """Gate sequence realizing ``exp(i * dt * scale * block.matrix())`` per scale.
 
     With several ``(extra control, scale)`` entries the rotations share one
     basis-change conjugation; the cores commute.  ``extra_controls`` must
@@ -104,7 +102,8 @@ def block_gates(
             Gate(
                 MCRZ,
                 ctrls + extra + (block.target,),
-                -block.theta * scale,
+                # 2*weight*dt first, then the scale: the pinned digests rest on this order.
+                -(2.0 * block.weight * dt) * scale,
                 pols + (1,) * len(extra),
             )
         )
@@ -125,17 +124,22 @@ def step_gates(
     h2_blocks: list[BellBlock],
     reg: PRegister,
     n_sys: int,
+    dt: float,
 ) -> list[Gate]:
-    """One first-order product step on the joint register."""
+    """One first-order product step of size ``dt`` on the joint register.
+
+    The blocks hold no step size; ``dt`` enters here, in each block's
+    rotation angle, so a compiled generator steps at any ``dt``.
+    """
     gates: list[Gate] = []
     for b in h2_blocks:
-        gates.extend(block_gates(b))
+        gates.extend(block_gates(b, dt))
     if h1_blocks:
         anc = tuple(range(n_sys, n_sys + reg.n_a))
         scales = tuple(xi_bit_scales(reg))
         gates.append(Gate(FOURIER, anc))
         for b in h1_blocks:
-            gates.extend(block_gates(b, extra_controls=anc, angle_scales=scales))
+            gates.extend(block_gates(b, dt, extra_controls=anc, angle_scales=scales))
         gates.append(Gate(FOURIER, anc, inverse=True))
     return gates
 
@@ -196,9 +200,10 @@ def emit_trotter_circuit(
     blocks_h2: list[BellBlock],
     reg: PRegister,
     steps: int,
+    dt: float,
     n_sys: int | None = None,
 ) -> Circuit:
-    """Full circuit: auxiliary profile prep, then ``steps`` product steps.
+    """Full circuit: auxiliary profile prep, then ``steps`` product steps of size ``dt``.
 
     With ``steps=0`` the circuit only prepares the lifted initial state
     (applied to the system register's own initial state on the low qubits).
@@ -212,7 +217,7 @@ def emit_trotter_circuit(
         if b.n != n_sys:
             raise ValueError("blocks compiled for mismatching register sizes")
     gates = ancilla_prep_gates(reg, n_sys)
-    step = step_gates(blocks_h1, blocks_h2, reg, n_sys)
+    step = step_gates(blocks_h1, blocks_h2, reg, n_sys, dt)
     for _ in range(steps):
         gates.extend(step)
     return Circuit(n_sys + reg.n_a, tuple(gates))
@@ -235,13 +240,12 @@ class TrotterRunner(LiftedRunner):
         u0: FieldState,
         reg: PRegister,
         dt: float,
-        weights: np.ndarray | None = None,
     ):
-        super().__init__(pair, u0, reg, dt, weights)
+        super().__init__(pair, u0, reg, dt)
         self.h1_blocks, self.h2_blocks = h1_blocks, h2_blocks
         n_sys = int(math.log2(pair.dim))
         self.step_circuit = Circuit(
-            n_sys + reg.n_a, tuple(step_gates(h1_blocks, h2_blocks, reg, n_sys))
+            n_sys + reg.n_a, tuple(step_gates(h1_blocks, h2_blocks, reg, n_sys, dt))
         )
 
     @staticmethod
@@ -255,8 +259,8 @@ class TrotterRunner(LiftedRunner):
         symmetry at PMC walls); recovery maps back, so results are in the
         original variables either way.
         """
-        pair, h1_blocks, h2_blocks = compile_generator(a, dt, weights)
-        return TrotterRunner(pair, h1_blocks, h2_blocks, u0, reg, dt, weights)
+        pair, h1_blocks, h2_blocks = compile_generator(a, weights)
+        return TrotterRunner(pair, h1_blocks, h2_blocks, u0, reg, dt)
 
     def advance(self, steps: int) -> None:
         for _ in range(steps):

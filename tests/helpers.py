@@ -6,14 +6,16 @@
 * ``circuit_unitary`` and ``gates_unitary``: dense unitaries of small
   circuits;
 * ``unpack_impulses``: the inverse of ``pack_initial_condition`` on sparse
-  impulse states.
+  impulse states;
+* ``is_pad``: the pad test of one sample;
+* ``reconstruct``: the dense sum of tensor strings or blocks.
 """
 
 import numpy as np
 
 from qmaxwell.circuit import Circuit, simulate
 from qmaxwell.errors import QmaxwellError
-from qmaxwell.grid import FieldState
+from qmaxwell.grid import Component, FieldLayout, FieldState
 from qmaxwell.operators import as_csr
 
 
@@ -68,4 +70,21 @@ def unpack_impulses(state: FieldState) -> list:
         k, rest = divmod(rest, spec.ny * spec.nx)
         j, i = divmod(rest, spec.nx)
         out.append((layout.components[block], i, j, k, float(state.values[flat])))
+    return out
+
+
+def is_pad(layout: FieldLayout, component: Component, i: int, j: int, k: int = 0) -> bool:
+    """True for the zero-pad slot at the high end of a half-offset axis."""
+    return bool(layout.classify(component, i, j, k).pad)
+
+
+def reconstruct(items) -> np.ndarray:
+    """Sum term (or block) matrices densely; for small dimensions."""
+    items = list(items)
+    if not items:
+        return np.zeros((1, 1), dtype=complex)
+    dim = 1 << items[0].n
+    out = np.zeros((dim, dim), dtype=complex)
+    for it in items:
+        out += it.matrix()
     return out

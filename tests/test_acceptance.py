@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qmaxwell.bell import AdjointPair, S01, block_generator, build_bell_block, compile_blocks, reconstruct, tensorize, pair_adjoints
+from qmaxwell.bell import BellBlock, S01, compile_blocks, tensorize, pair_adjoints
 from qmaxwell.circuit import Circuit, gate_stats
 from qmaxwell.grid import (
     Boundaries,
@@ -55,7 +55,7 @@ from qmaxwell.oracle import (
 from qmaxwell.scenarios import scenario_2d_empty, scenario_2d_scatterer, scenario_3d_empty
 from qmaxwell.trotter import TrotterRunner, block_gates
 
-from helpers import gates_unitary, normalized_cross_correlation
+from helpers import gates_unitary, normalized_cross_correlation, reconstruct
 from stencil_oracle import apply_curl_2d, apply_curl_3d
 
 
@@ -118,12 +118,12 @@ def test_criterion_02_bell_reconstruction_and_blocks():
             continue
         terms = tensorize(h)
         worst_recon = max(worst_recon, float(np.linalg.norm(reconstruct(terms) - h)))
-        pairs, diag = pair_adjoints(terms)
+        blocks, diag = pair_adjoints(terms)
+        assert not diag  # the curl generators have a zero diagonal
         n = int(math.log2(h.shape[0]))
-        for p in list(pairs) + list(diag):
-            block = build_bell_block(p, dt)
-            u = gates_unitary(block_gates(block), n)
-            expected = expm(1j * dt * block_generator(block, dt))
+        for block in blocks:
+            u = gates_unitary(block_gates(block, dt), n)
+            expected = expm(1j * dt * block.matrix())
             worst_block = max(worst_block, float(np.linalg.norm(u - expected)))
             n_blocks += 1
     elapsed = time.time() - t0
@@ -325,9 +325,8 @@ def test_criterion_08_gate_count_scaling():
     t0 = time.time()
     counts = {}
     for n in range(4, 13):
-        pair = AdjointPair(coefficient=1.0 + 0j, factors=tuple([S01] * n))
-        block = build_bell_block(pair, 0.1)
-        counts[n] = gate_stats(Circuit(n, tuple(block_gates(block))))["two_qubit_count"]
+        block = BellBlock(coefficient=1.0 + 0j, factors=tuple([S01] * n))
+        counts[n] = gate_stats(Circuit(n, tuple(block_gates(block, 0.1))))["two_qubit_count"]
     ratios = {n: c / n**2 for n, c in counts.items()}
     c_fit = max(ratios.values())
     envelope_ok = all(counts[n] <= c_fit * n**2 for n in counts)
@@ -341,9 +340,9 @@ def test_criterion_08_gate_count_scaling():
     pair = hermitian_split(aw)
     dt = 0.1
     circ = emit_trotter_circuit(
-        order_blocks(compile_blocks(pair.h1, dt)),
-        order_blocks(compile_blocks(pair.h2, dt)),
-        PRegister(n_a=1), 100,
+        order_blocks(compile_blocks(pair.h1)),
+        order_blocks(compile_blocks(pair.h2)),
+        PRegister(n_a=1), 100, dt,
     )
     stats = gate_stats(circ)
     in_band = 1e4 <= stats["abstract_depth"] <= 1.6e5

@@ -3,31 +3,28 @@ import pytest
 from scipy.linalg import expm
 
 from qmaxwell.bell import (
-    AdjointPair,
     TensorTerm,
     S01,
     S10,
     S11,
     ID,
-    block_generator,
-    build_bell_block,
     compile_blocks,
     pair_adjoints,
-    reconstruct,
     tensorize,
 )
+from qmaxwell.circuit import MCRZ
 from qmaxwell.errors import HermiticityError
 from qmaxwell.grid import GridSpec, ScattererBox
 from qmaxwell.lifting import hermitian_split
 from qmaxwell.operators import (
-    apply_weights,
     assemble_generator,
     staggered_derivative,
     symmetrizing_weights,
 )
 from qmaxwell.scenarios import build_scenario
+from qmaxwell.trotter import block_gates
 
-from helpers import gates_unitary
+from helpers import gates_unitary, reconstruct
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -128,19 +125,17 @@ class TestPairAdjoints:
             pair_adjoints([TensorTerm(1j, (S11,))])
 
 
-def simulated_block_unitary(block, n=None):
-    from qmaxwell.trotter import block_gates
-
-    return gates_unitary(block_gates(block), n or block.n)
+def simulated_block_unitary(block, dt, n=None):
+    return gates_unitary(block_gates(block, dt), n or block.n)
 
 
 class TestBellBlocks:
     def test_single_qubit_x_block(self):
-        pairs, _ = pair_adjoints(tensorize(PAULI_X))
-        block = build_bell_block(pairs[0], dt=0.3)
+        blocks, _ = pair_adjoints(tensorize(PAULI_X))
+        block = blocks[0]
         assert block.flip_qubits == (0,)
-        assert block.theta == pytest.approx(0.6)
-        u = simulated_block_unitary(block)
+        assert [g.angle for g in block_gates(block, 0.3) if g.kind == MCRZ] == [pytest.approx(-0.6)]
+        u = simulated_block_unitary(block, 0.3)
         expected = expm(1j * 0.3 * PAULI_X)
         assert np.linalg.norm(u - expected) < 1e-12
 
@@ -148,67 +143,64 @@ class TestBellBlocks:
         # |01><10| + h.c. on two qubits.
         h = np.zeros((4, 4), dtype=complex)
         h[1, 2] = h[2, 1] = 0.7
-        pairs, _ = pair_adjoints(tensorize(h))
-        assert len(pairs) == 1
-        block = build_bell_block(pairs[0], dt=0.25)
+        blocks, _ = pair_adjoints(tensorize(h))
+        assert len(blocks) == 1
+        block = blocks[0]
         assert set(block.flip_qubits) == {0, 1}
-        u = simulated_block_unitary(block)
+        u = simulated_block_unitary(block, 0.25)
         assert np.linalg.norm(u - expm(1j * 0.25 * h)) < 1e-12
 
     def test_spectator_control(self):
         # sigma11 spectator on the high qubit adds a control-on-1.
         h = np.zeros((4, 4), dtype=complex)
         h[2, 3] = h[3, 2] = 1.0
-        pairs, _ = pair_adjoints(tensorize(h))
-        block = build_bell_block(pairs[0], dt=0.4)
+        blocks, _ = pair_adjoints(tensorize(h))
+        block = blocks[0]
         assert block.controls == ((1,), (1,))
-        u = simulated_block_unitary(block)
+        u = simulated_block_unitary(block, 0.4)
         assert np.linalg.norm(u - expm(1j * 0.4 * h)) < 1e-12
 
     def test_imaginary_pair_coefficient(self):
         # i|0><1| - i|1><0| (Pauli-Y-like): nontrivial phase.
         h = np.array([[0, 1j], [-1j, 0]], dtype=complex)
-        pairs, _ = pair_adjoints(tensorize(h))
-        block = build_bell_block(pairs[0], dt=0.5)
-        u = simulated_block_unitary(block)
+        blocks, _ = pair_adjoints(tensorize(h))
+        u = simulated_block_unitary(blocks[0], 0.5)
         assert np.linalg.norm(u - expm(1j * 0.5 * h)) < 1e-12
 
     def test_identity_term_rejected(self):
         # A diagonal string has no flip qubit, so compile_blocks refuses it by name.
         with pytest.raises(ValueError, match=r"\('i', 'i'\)"):
-            compile_blocks(np.eye(4), dt=0.1)
+            compile_blocks(np.eye(4))
 
     def test_block_generator_matches_pair(self):
         h = np.zeros((8, 8), dtype=complex)
         h[1, 6] = 0.25 - 0.4j
         h[6, 1] = 0.25 + 0.4j
-        pairs, _ = pair_adjoints(tensorize(h))
-        block = build_bell_block(pairs[0], dt=0.2)
-        assert np.linalg.norm(block_generator(block, 0.2) - h) < 1e-13
+        blocks, _ = pair_adjoints(tensorize(h))
+        assert np.linalg.norm(blocks[0].matrix() - h) < 1e-13
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("name, nx", [("2d-empty", 8), ("2d-scatterer", 8), ("3d-empty", 4)])
     def test_compiled_blocks_sum_to_operator(self, name, nx, weighted):
         spec = build_scenario(name, nx=nx).spec
         a = assemble_generator(spec)
-        pair = hermitian_split(apply_weights(a, symmetrizing_weights(spec)) if weighted else a)
-        dt = 0.1
+        pair = hermitian_split(a, symmetrizing_weights(spec) if weighted else None)
         for h in (pair.h1.toarray(), pair.h2.toarray()):
             total = np.zeros(h.shape, dtype=complex)
-            for b in compile_blocks(h, dt):
-                total += block_generator(b, dt)
+            for b in compile_blocks(h):
+                total += b.matrix()
             assert np.abs(total - h).max() < 1e-13
 
     def test_compiled_blocks_unitary_and_correct(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
         pair = hermitian_split(assemble_generator(spec))
         dt = 0.1
-        blocks = compile_blocks(pair.h2, dt)
+        blocks = compile_blocks(pair.h2)
         rng = np.random.default_rng(1)
         # Spot-check a sample densely (dimension 64).
         for block in rng.choice(len(blocks), size=min(6, len(blocks)), replace=False):
             b = blocks[block]
-            u = simulated_block_unitary(b)
+            u = simulated_block_unitary(b, dt)
             assert np.linalg.norm(u @ u.conj().T - np.eye(64)) < 1e-12
-            expected = expm(1j * dt * block_generator(b, dt))
+            expected = expm(1j * dt * b.matrix())
             assert np.linalg.norm(u - expected) < 1e-10

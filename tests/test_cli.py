@@ -25,7 +25,7 @@ from qmaxwell.lifting import (
     initial_lifted_state,
     recover_solution,
 )
-from qmaxwell.operators import apply_weights, assemble_generator, symmetrizing_weights
+from qmaxwell.operators import assemble_generator, symmetrizing_weights
 from qmaxwell.oracle import exact_evolution, snapshot, trotter_error_table
 from qmaxwell.scenarios import build_scenario
 
@@ -186,12 +186,12 @@ class TestRun:
         execute_run(config)
         scenario = build_scenario("2d-scatterer", 8, 8)
         w = symmetrizing_weights(scenario.spec)
-        pair = hermitian_split(apply_weights(assemble_generator(scenario.spec), w))
+        pair = hermitian_split(assemble_generator(scenario.spec), w)
         reg = PRegister(1)
         u0 = pack_initial_condition(scenario.spec, list(scenario.impulses))
         lift = initial_lifted_state(u0, reg, w)
         v = evolve_lifted_exact(pair, reg, lift.values, 2.0)
-        direct = recover_solution(v, reg, pair, 2.0, lift.norm, u0.layout, weights=w)
+        direct = recover_solution(v, reg, pair, 2.0, lift.norm, u0.layout)
         for comp in u0.layout.components:
             got = np.loadtxt(Path(config.outdir) / f"{comp.value}_T2.csv", delimiter=",")
             assert np.max(np.abs(got - snapshot(direct, comp))) <= 1e-12
@@ -316,6 +316,7 @@ class TestMain:
 
         scatterer = ["run", "--scenario", "2d-scatterer", "--nx", "8", "--steps", "2"]
         empty = ["run", "--scenario", "2d-empty", "--steps", "1"]
+        table = ["table", "--scenario", "2d-empty", "--nx", "4"]
         bad = [
             (["run", "--scenario", "2d-empty", "--nx", "4", "--ny", "4", "--dt", "-1"], None),
             (scatterer + ["--shots", "0", "--probes", "Ez:5:5"], None),
@@ -332,6 +333,15 @@ class TestMain:
             (scatterer + ["--nx", "4"], None),
             (["run", "--scenario", "3d-empty", "--nx", "4", "--nz", "2", "--steps", "1"], None),
             (["stats", "--scenario", "2d-empty", "--nx", "4", "--n-a", "40"], None),
+            (scatterer + ["--dt", "nan"], None),
+            (scatterer + ["--dt", "inf"], None),
+            (scatterer + ["--p-min", "nan"], None),
+            (scatterer + ["--p-max", "inf"], None),
+            (scatterer + ["--offset", "nan", "--probes", "Ez:5:5"], None),
+            (scatterer + ["--snapshot-times", "nan"], None),
+            (table + ["--dts", "0", "--times", "1.0"], None),
+            (table + ["--dts", "nan", "--times", "1.0"], None),
+            (table + ["--dts", "0.1", "--times", "nan"], None),
         ]
         for k, (args, config) in enumerate(bad):
             out = tmp_path / f"r{k}"
@@ -340,9 +350,10 @@ class TestMain:
                 path = tmp_path / f"c{k}.json"
                 path.write_text(json.dumps(config))
                 argv += ["--config", str(path)]
-            if "--n-a" in args:
-                monkeypatch.setattr("qmaxwell.cli.PRegister", no_register)
-            assert main(argv) == 2, (args, config)
+            with monkeypatch.context() as patch:
+                if "--n-a" in args:
+                    patch.setattr("qmaxwell.cli.PRegister", no_register)
+                assert main(argv) == 2, (args, config)
             assert not out.exists() or not any(out.iterdir()), (args, config)
 
     def test_infeasible_recovery_exit_three(self, tmp_path, capsys):

@@ -14,7 +14,7 @@ from qmaxwell.grid import (
     qubit_count,
 )
 
-from helpers import unpack_impulses
+from helpers import is_pad, unpack_impulses
 
 
 def spec2d(n=4, **kw):
@@ -97,17 +97,17 @@ class TestFlatIndex:
 class TestPads:
     def test_pad_slots_2d(self):
         layout = FieldLayout(spec2d(4))
-        assert layout.is_pad(Component.HX, 0, 3)
-        assert not layout.is_pad(Component.HX, 3, 2)
-        assert layout.is_pad(Component.HY, 3, 0)
-        assert not layout.is_pad(Component.EZ, 3, 3)
+        assert is_pad(layout, Component.HX, 0, 3)
+        assert not is_pad(layout, Component.HX, 3, 2)
+        assert is_pad(layout, Component.HY, 3, 0)
+        assert not is_pad(layout, Component.EZ, 3, 3)
 
     def test_pad_slots_3d(self):
         layout = FieldLayout(spec3d(2))
         # H_x is half-offset along y and z.
-        assert layout.is_pad(Component.HX, 0, 1, 0)
-        assert layout.is_pad(Component.HX, 0, 0, 1)
-        assert not layout.is_pad(Component.HX, 1, 0, 0)
+        assert is_pad(layout, Component.HX, 0, 1, 0)
+        assert is_pad(layout, Component.HX, 0, 0, 1)
+        assert not is_pad(layout, Component.HX, 1, 0, 0)
 
     def test_state_length(self):
         assert FieldLayout(spec2d(4)).state_len == 4 * 16
@@ -211,5 +211,5 @@ class TestActiveMask:
             for k, j, i in itertools.product(range(spec.nz), range(spec.ny), range(spec.nx)):
                 flat = layout.flat_index(comp, i, j, k)
                 assert layout.is_active(comp, i, j, k) == mask[flat]
-                assert layout.is_pad(comp, i, j, k) == pads[flat]
+                assert is_pad(layout, comp, i, j, k) == pads[flat]
         assert not mask[len(layout.components) * layout.block_size :].any()

@@ -49,6 +49,19 @@ class TestHermitianSplit:
         err = np.linalg.norm(recon - a.toarray())
         assert err <= 1e-14 * max(1.0, np.linalg.norm(a.toarray()))
 
+    def test_pair_carries_its_weights(self):
+        # Splitting under weights equals splitting the scaled operator, and
+        # records the weights; an unscaled split records unit weights.
+        spec = GridSpec(nx=8, ny=8, dim=2, scatterer=ScattererBox((2, 2), (6, 6)))
+        a = assemble_generator(spec)
+        w = symmetrizing_weights(spec)
+        carried, scaled = hermitian_split(a, w), hermitian_split(apply_weights(a, w))
+        for got, want in ((carried.h1, scaled.h1), (carried.h2, scaled.h2)):
+            for part in ("indptr", "indices", "data"):
+                assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+        assert carried.weights is w
+        assert scaled.weights.tobytes() == np.ones(len(w)).tobytes()
+
     def test_lifted_hamiltonian(self):
         rng = np.random.default_rng(2)
         pair = hermitian_split(random_generator(8, rng))
@@ -72,8 +85,10 @@ class TestPRegister:
         diffs = np.diff(reg.p_values)
         assert np.allclose(diffs, diffs[0])
         assert reg.p_values[-1] > 0
-        with pytest.raises(ValueError):
-            PRegister(n_a=1, p_min=-4.0, p_max=-1.0)
+        assert reg.p_star == reg.p_values[reg.p_star_index] == reg.p_values.max()
+        for p_min, p_max in ((-4.0, -1.0), (math.nan, 1.0), (-1.0, math.nan), (-math.inf, 1.0), (-1.0, math.inf)):
+            with pytest.raises(ValueError):
+                PRegister(n_a=1, p_min=p_min, p_max=p_max)
 
     def test_xi_are_fft_frequencies(self):
         reg = PRegister(n_a=2)
@@ -151,13 +166,13 @@ class TestLiftedExactRunner:
         reg = PRegister(n_a=2)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
         runner = LiftedExactRunner(a, u0, reg, 0.1, w)
-        pair = hermitian_split(apply_weights(a, w))
+        pair = hermitian_split(a, w)
         lift = initial_lifted_state(u0, reg, w)
         for s in (1, 4, 15):
             runner.advance(s - runner.steps_done)
             got = runner.recover()
             v = evolve_lifted_exact(pair, reg, lift.values, s * 0.1)
-            want = recover_solution(v, reg, pair, s * 0.1, lift.norm, weights=w)
+            want = recover_solution(v, reg, pair, s * 0.1, lift.norm)
             assert got.time == s * 0.1
             assert np.max(np.abs(got.values - want)) <= 1e-12
 
@@ -167,6 +182,15 @@ class TestLiftedExactRunner:
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
         runner = LiftedExactRunner(a, u0, PRegister(n_a=1), 0.1, symmetrizing_weights(spec))
         assert np.max(np.abs(runner.recover().values - u0.values)) <= 1e-12
+
+    def test_unweighted_readout_scales_are_uniform(self):
+        spec = GridSpec(nx=4, ny=4, dim=2)
+        u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
+        runner = LiftedExactRunner(assemble_generator(spec), u0, PRegister(n_a=2), 0.1)
+        runner.advance(1)
+        amps, scales = runner.readout()
+        scale = math.exp(runner.reg.p_star) * runner.norm
+        assert scales.tobytes() == np.full(amps.shape, scale).tobytes()
 
 
 class TestEvolveLiftedExact:

@@ -98,6 +98,25 @@ class TestErrorTable:
         trotter_error_table(assemble_generator(spec), u0, [0.1, 0.05], times, PRegister(n_a=1))
         assert len(horizons) == len(times) and sorted(horizons) == sorted(times)
 
+    def test_generator_compiled_once(self, monkeypatch):
+        # Blocks hold no step size, so two dts share one compile of h1 and h2.
+        import qmaxwell.trotter as trotter
+
+        compiled = []
+        real = trotter.compile_blocks
+
+        def counted(h):
+            compiled.append(h)
+            return real(h)
+
+        monkeypatch.setattr(trotter, "compile_blocks", counted)
+        spec = GridSpec(nx=4, ny=4, dim=2)
+        trotter_error_table(
+            assemble_generator(spec), impulse(spec, 2, 2), [0.1, 0.05], [0.5],
+            PRegister(n_a=1), weights=symmetrizing_weights(spec),
+        )
+        assert len(compiled) == 2
+
     def test_non_multiple_time_rejected(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
         a = assemble_generator(spec)
@@ -231,6 +250,9 @@ def test_grid_step_rejects_off_grid_times():
 
     assert grid_step(1.5, 0.1) == 15
     assert grid_step(0.0, 0.1) == 0
-    for t in (0.25, -0.1):
+    for t, dt in (
+        (0.25, 0.1), (-0.1, 0.1), (np.nan, 0.1), (np.inf, 0.1),
+        (1.0, 0.0), (1.0, -0.1), (1.0, np.nan), (1.0, np.inf),
+    ):
         with pytest.raises(ConfigError):
-            grid_step(t, 0.1)
+            grid_step(t, dt)

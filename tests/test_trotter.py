@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from qmaxwell.bell import compile_blocks
-from qmaxwell.circuit import FOURIER, Circuit, apply_gate, simulate
+from qmaxwell.circuit import FOURIER, MCRZ, Circuit, apply_gate, simulate
 from qmaxwell.grid import Component, GridSpec, pack_initial_condition
 from qmaxwell.lifting import (
     HermitianPair,
@@ -138,8 +139,8 @@ class TestStepStructure:
     def test_h1_zero_has_no_ancilla_coupling(self):
         rng = np.random.default_rng(1)
         pair = hermitian_split(skew(rng, 4))
-        blocks2 = compile_blocks(pair.h2, 0.1)
-        gates = step_gates([], blocks2, PRegister(n_a=1), n_sys=2)
+        blocks2 = compile_blocks(pair.h2)
+        gates = step_gates([], blocks2, PRegister(n_a=1), n_sys=2, dt=0.1)
         assert all(g.kind != FOURIER for g in gates)
         assert all(max(g.qubits) < 2 for g in gates)
 
@@ -147,14 +148,31 @@ class TestStepStructure:
     def test_step_gates_pinned(self, name, nx, weighted, n_a, count, digest):
         spec = build_scenario(name, nx=nx).spec
         weights = symmetrizing_weights(spec) if weighted else None
-        pair, h1, h2 = compile_generator(assemble_generator(spec), 0.1, weights)
-        gates = step_gates(h1, h2, PRegister(n_a), int(math.log2(pair.dim)))
+        pair, h1, h2 = compile_generator(assemble_generator(spec), weights)
+        gates = step_gates(h1, h2, PRegister(n_a), int(math.log2(pair.dim)), 0.1)
         emitted = repr([
             (g.kind, g.qubits, None if g.angle is None else float(g.angle), g.polarities, g.inverse)
             for g in gates
         ])
         assert len(gates) == count
         assert hashlib.sha256(emitted.encode()).hexdigest() == digest
+
+    def test_step_size_scales_only_the_rotation_angles(self):
+        # Blocks hold no dt: at twice the step every mcrz angle doubles
+        # exactly and every other gate is unchanged.
+        spec = build_scenario("2d-scatterer", nx=8).spec
+        pair, h1, h2 = compile_generator(assemble_generator(spec), symmetrizing_weights(spec))
+        n_sys, reg, dt = int(math.log2(pair.dim)), PRegister(3), 0.1
+        once, twice = step_gates(h1, h2, reg, n_sys, dt), step_gates(h1, h2, reg, n_sys, 2 * dt)
+        assert len(once) == len(twice)
+        rotations = 0
+        for g, h in zip(once, twice):
+            if g.kind == MCRZ:
+                assert h == dataclasses.replace(g, angle=2 * g.angle)
+                rotations += 1
+            else:
+                assert h == g
+        assert rotations > 0
 
     def test_pure_h1_step_is_exact(self):
         # With no skew part, one step equals the exact lifted propagator:
@@ -163,13 +181,13 @@ class TestStepStructure:
         h1 = sym(rng, 4) * 0.2
         np.fill_diagonal(h1, 0.0)  # diagonal strings have no block
         pair = HermitianPair(
-            h1=sp.csr_matrix(h1), h2=sp.csr_matrix((4, 4), dtype=complex)
+            h1=sp.csr_matrix(h1), h2=sp.csr_matrix((4, 4), dtype=complex), weights=np.ones(4)
         )
         dt = 0.3
-        blocks1 = compile_blocks(pair.h1, dt)
+        blocks1 = compile_blocks(pair.h1)
         for n_a in (1, 2):
             reg = PRegister(n_a=n_a)
-            gates = step_gates(blocks1, [], reg, n_sys=2)
+            gates = step_gates(blocks1, [], reg, n_sys=2, dt=dt)
             u = circuit_unitary(Circuit(2 + n_a, tuple(gates)))
             v0 = rng.standard_normal(reg.n_points * 4)
             expected = evolve_lifted_exact(pair, reg, v0, dt)
@@ -184,13 +202,13 @@ class TestStepStructure:
         h1 = np.zeros((4, 4))
         h1[1, 2] = h1[2, 1] = 0.7  # one adjoint pair only
         pair = HermitianPair(
-            h1=sp.csr_matrix(h1), h2=sp.csr_matrix((4, 4), dtype=complex)
+            h1=sp.csr_matrix(h1), h2=sp.csr_matrix((4, 4), dtype=complex), weights=np.ones(4)
         )
         dt = 0.25
-        blocks1 = compile_blocks(pair.h1, dt)
+        blocks1 = compile_blocks(pair.h1)
         assert len(blocks1) == 1
         reg = PRegister(n_a=2)
-        gates = step_gates(blocks1, [], reg, n_sys=2)
+        gates = step_gates(blocks1, [], reg, n_sys=2, dt=dt)
         u = circuit_unitary(Circuit(2 + reg.n_a, tuple(gates)))
         rng = np.random.default_rng(3)
         v0 = rng.standard_normal(reg.n_points * 4)
@@ -201,10 +219,10 @@ class TestStepStructure:
         h2 = np.zeros((4, 4), dtype=complex)
         h2[0, 3] = 1j
         h2[3, 0] = -1j
-        pair = HermitianPair(h1=sp.csr_matrix((4, 4)), h2=sp.csr_matrix(h2))
+        pair = HermitianPair(h1=sp.csr_matrix((4, 4)), h2=sp.csr_matrix(h2), weights=np.ones(4))
         dt = 0.4
-        blocks2 = compile_blocks(pair.h2, dt)
-        gates = step_gates([], blocks2, PRegister(n_a=1), n_sys=2)
+        blocks2 = compile_blocks(pair.h2)
+        gates = step_gates([], blocks2, PRegister(n_a=1), n_sys=2, dt=dt)
         u = circuit_unitary(Circuit(2, tuple(gates)))
         assert np.linalg.norm(u - expm(1j * dt * h2)) < 1e-12
 
@@ -223,9 +241,9 @@ class TestPinnedStates:
         u0 = pack_initial_condition(scenario.spec, scenario.impulses)
         runner = TrotterRunner.from_generator(a, u0, reg, 0.1, w)
         runner.advance(5)
-        pair, h1, h2 = compile_generator(a, 0.1, w)
+        pair, h1, h2 = compile_generator(a, w)
         n_sys = int(math.log2(pair.dim))
-        c = emit_trotter_circuit(h1, h2, reg, 2, n_sys)
+        c = emit_trotter_circuit(h1, h2, reg, 2, 0.1, n_sys)
         psi0 = np.zeros(1 << c.n_qubits, dtype=complex)
         psi0[: len(u0.values)] = u0.values / np.linalg.norm(u0.values)
         assert hashlib.sha256(runner.psi.tobytes()).hexdigest() == runner_digest
@@ -284,9 +302,7 @@ class TestEmittedCircuit:
         pair = hermitian_split(a)
         reg = PRegister(n_a=2)
         dt = 0.1
-        c = emit_trotter_circuit(
-            compile_blocks(pair.h1, dt), compile_blocks(pair.h2, dt), reg, 0
-        )
+        c = emit_trotter_circuit(compile_blocks(pair.h1), compile_blocks(pair.h2), reg, 0, dt)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 1, 0, 1.0)])
         sys_state = u0.values / np.linalg.norm(u0.values)
         psi0 = np.zeros(1 << c.n_qubits, dtype=complex)
@@ -304,9 +320,7 @@ class TestEmittedCircuit:
         runner = TrotterRunner.from_generator(a, u0, reg, dt)
         runner.advance(steps)
         pair = runner.pair
-        c = emit_trotter_circuit(
-            runner.h1_blocks, runner.h2_blocks, reg, steps
-        )
+        c = emit_trotter_circuit(runner.h1_blocks, runner.h2_blocks, reg, steps, dt)
         sys_state = u0.values / np.linalg.norm(u0.values)
         psi0 = np.zeros(1 << c.n_qubits, dtype=complex)
         psi0[: len(sys_state)] = sys_state
@@ -322,7 +336,7 @@ class TestEmittedCircuit:
         w = symmetrizing_weights(spec)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
         runner = TrotterRunner.from_generator(a, u0, PRegister(n_a=1), 0.1, weights=w)
-        pair, h1_blocks, h2_blocks = compile_generator(a, 0.1, w)
+        pair, h1_blocks, h2_blocks = compile_generator(a, w)
         assert h1_blocks == runner.h1_blocks and h2_blocks == runner.h2_blocks
         assert (pair.h1 != runner.pair.h1).nnz == 0 and (pair.h2 != runner.pair.h2).nnz == 0
 
