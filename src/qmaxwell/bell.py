@@ -8,8 +8,10 @@ entries coincide bit-for-bit, so banded difference operators come out with a
 term count linear in the qubit number instead of one term per matrix entry;
 boundary and scatterer deviations fall out as a handful of extra strings.
 
-Each off-diagonal string appears together with its adjoint.  A matched pair
-is one :class:`BellBlock`, compiled once per operator: its circuit is a
+The strings form a sorted ``{factors: coefficient}`` map in which each
+off-diagonal string of a Hermitian operator meets its adjoint.  One pass
+pairs them: each pair is one :class:`BellBlock`, compiled once per
+operator, and its circuit is a
 basis change built from a superposition gate, a fan-out of flips, and
 bit-fixing X gates, conjugating one multi-controlled phase rotation.  The
 block holds no time step; the step size scales the rotation angle only
@@ -48,28 +50,6 @@ _ADJOINT_TAG = {ID: ID, S00: S00, S11: S11, S01: S10, S10: S01}
 _ROW_BIT = {S00: 0, S01: 0, S10: 1, S11: 1}
 
 
-@dataclass(frozen=True)
-class TensorTerm:
-    """One tensor-product string; ``factors[0]`` acts on the most significant qubit."""
-
-    coefficient: complex
-    factors: tuple[str, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.factors)
-
-    @property
-    def is_diagonal(self) -> bool:
-        return all(f not in (S01, S10) for f in self.factors)
-
-    def adjoint_factors(self) -> tuple[str, ...]:
-        return tuple(_ADJOINT_TAG[f] for f in self.factors)
-
-    def matrix(self) -> np.ndarray:
-        return self.coefficient * reduce(np.kron, (_SIGMA[f] for f in self.factors))
-
-
 def _entry_dict(h) -> tuple[dict, int]:
     m = as_csr(h)
     if m.shape[0] != m.shape[1]:
@@ -78,11 +58,7 @@ def _entry_dict(h) -> tuple[dict, int]:
     if dim < 1 or dim & (dim - 1):
         raise ValueError(f"dimension {dim} is not a power of two")
     coo = m.tocoo()
-    entries = {}
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        v = complex(v)
-        if v != 0:
-            entries[(int(r), int(c))] = v
+    entries = {(int(r), int(c)): complex(v) for r, c, v in zip(coo.row, coo.col, coo.data) if v != 0}
     return entries, int(math.log2(dim))
 
 
@@ -104,24 +80,21 @@ def _tensorize_entries(entries: dict, nq: int):
     if common:
         groups[S00] = {k: v for k, v in d00.items() if common.get(k) != v}
         groups[S11] = {k: v for k, v in d11.items() if common.get(k) != v}
-    out = []
-    for tag, sub in ((ID, common), *groups.items()):
-        for factors, coeff in _tensorize_entries(sub, nq - 1):
-            out.append(((tag,) + factors, coeff))
-    return out
+    return [
+        ((tag,) + factors, coeff)
+        for tag, sub in ((ID, common), *groups.items())
+        for factors, coeff in _tensorize_entries(sub, nq - 1)
+    ]
 
 
-def tensorize(h) -> list[TensorTerm]:
+def tensorize(h) -> dict[tuple[str, ...], complex]:
     """Decompose a ``2^n``-dimensional operator exactly into tensor strings.
 
-    The sum of the returned terms reproduces the input; strings are unique
-    and sorted for determinism.  Diagonal strings (no flip factors) are
-    permitted and flagged via :attr:`TensorTerm.is_diagonal`.
+    Returns ``{factors: coefficient}`` sorted by ``factors``, whose first tag
+    acts on the most significant qubit; the strings sum to the input exactly.
     """
     entries, nq = _entry_dict(h)
-    raw = _tensorize_entries(entries, nq)
-    raw.sort(key=lambda fc: fc[0])
-    return [TensorTerm(coefficient=c, factors=f) for f, c in raw]
+    return dict(sorted(_tensorize_entries(entries, nq), key=lambda fc: fc[0]))
 
 
 @dataclass(frozen=True)
@@ -129,12 +102,13 @@ class BellBlock:
     """Matched ``(T, T^dagger)`` string pair of a Hermitian operator, compiled as one circuit block.
 
     The pair contributes ``c*T + conj(c)*T^dagger`` where ``T`` is the
-    representative string ``factors``; ``weight`` and ``phase`` are the polar
-    parts of ``c``, so the contribution is ``weight * (e^{i phase} T + h.c.)``.
+    representative string ``factors``, led by ``|0><1|``; ``weight`` and
+    ``phase`` are the polar parts of ``c``, so the contribution is
+    ``weight * (e^{i phase} T + h.c.)``.
     A block belongs to the operator and holds no time step: a step of size
     ``dt`` rotates it by ``2 * weight * dt`` (``trotter.block_gates``).
 
-    ``factors`` runs most significant qubit first as in :class:`TensorTerm`,
+    ``factors`` runs most significant qubit first as in :func:`tensorize`,
     with at least one flip factor; every qubit role derives from it.  Flip
     qubits carry the basis change, qubits holding projector factors become
     polarity controls, and identity qubits are untouched.  Qubit indices
@@ -157,7 +131,7 @@ class BellBlock:
         return cmath.phase(self.coefficient)
 
     def matrix(self) -> np.ndarray:
-        t = TensorTerm(self.coefficient, self.factors).matrix()
+        t = self.coefficient * reduce(np.kron, (_SIGMA[f] for f in self.factors))
         return t + t.conj().T
 
     def factor(self, q: int) -> str:
@@ -193,58 +167,27 @@ class BellBlock:
         return tuple(qubits), tuple(polarities)
 
 
-def pair_adjoints(terms) -> tuple[list[BellBlock], list[TensorTerm]]:
-    """Match every off-diagonal string with its adjoint.
-
-    Returns one block per matched pair plus the diagonal residue.  An
-    off-diagonal string without its adjoint partner, a mismatched
-    coefficient, or a diagonal string with a non-real coefficient all mean
-    the input was not Hermitian and raise :class:`HermiticityError`.
-    """
-    diag = []
-    by_factors = {}
-    for t in terms:
-        if t.is_diagonal:
-            if abs(t.coefficient.imag) > 1e-12 * max(1.0, abs(t.coefficient)):
-                raise HermiticityError(
-                    f"diagonal term {t.factors} has complex coefficient {t.coefficient}"
-                )
-            diag.append(t)
-        else:
-            if t.factors in by_factors:
-                raise HermiticityError(f"duplicate term {t.factors}")
-            by_factors[t.factors] = t
-    blocks = []
-    seen = set()
-    for factors, t in by_factors.items():
-        if factors in seen:
-            continue
-        adj = t.adjoint_factors()
-        partner = by_factors.get(adj)
-        if partner is None:
-            raise HermiticityError(f"term {factors} has no adjoint partner")
-        if abs(partner.coefficient - t.coefficient.conjugate()) > 1e-12 * max(
-            1.0, abs(t.coefficient)
-        ):
-            raise HermiticityError(
-                f"adjoint coefficients differ for {factors}: "
-                f"{t.coefficient} vs {partner.coefficient}"
-            )
-        seen.add(factors)
-        seen.add(adj)
-        rep = t if factors <= adj else partner
-        blocks.append(BellBlock(coefficient=rep.coefficient, factors=rep.factors))
-    blocks.sort(key=lambda b: b.factors)
-    return blocks, diag
-
-
 def compile_blocks(h) -> list[BellBlock]:
-    """Tensorize an operator and pair its strings into circuit blocks.
+    """Tensorize a Hermitian operator and pair each string with its adjoint, in one pass.
 
-    A diagonal string has no flip qubit and so no block; the curl generators
-    have a zero diagonal (see ``DECISIONS.md``), so one is refused.
+    A string and its adjoint first differ at their leading flip factor, so
+    the one led by ``|0><1|`` sorts first and becomes the block; the blocks
+    come out sorted by ``factors``.  A missing adjoint or a coefficient that
+    is not its conjugate raises :class:`HermiticityError`.  A diagonal string
+    has no flip qubit and so no block; the curl generators have a zero
+    diagonal (see ``DECISIONS.md``), so one raises ``ValueError``.
     """
-    blocks, diag = pair_adjoints(tensorize(h))
-    if diag:
-        raise ValueError(f"diagonal string {diag[0].factors} cannot be compiled to a block")
+    strings = tensorize(h)
+    blocks = []
+    for factors, c in strings.items():
+        flips = [f for f in factors if f in (S01, S10)]
+        if not flips:
+            raise ValueError(f"diagonal string {factors} cannot be compiled to a block")
+        partner = strings.get(tuple(_ADJOINT_TAG[f] for f in factors))
+        if partner is None:
+            raise HermiticityError(f"string {factors} has no adjoint partner")
+        if abs(partner - c.conjugate()) > 1e-12 * max(1.0, abs(c)):
+            raise HermiticityError(f"adjoint coefficients differ for {factors}: {c} vs {partner}")
+        if flips[0] == S01:
+            blocks.append(BellBlock(coefficient=c, factors=factors))
     return blocks

@@ -27,7 +27,7 @@ from . import __version__
 from .circuit import gate_stats
 from .errors import ConfigError, GridError, IndeterminateSignError, QmaxwellError, RecoveryInfeasibleError
 from .grid import FieldLayout, FieldState, component_name, pack_initial_condition, qubit_count
-from .lifting import LiftedExactRunner, PRegister
+from .lifting import LiftedExactRunner, PRegister, hermitian_split
 from .measure import (
     ProbeRequest,
     apply_offset,
@@ -41,6 +41,20 @@ from .operators import assemble_generator, skew_defect, symmetrizing_weights
 from .oracle import DIMENSION_CAP, OracleRunner, grid_step, snapshot, trotter_error_table
 from .scenarios import SCENARIO_NAMES, build_scenario
 from .trotter import TrotterRunner, compile_generator, emit_trotter_circuit
+
+# JSON values are untyped, unlike flags: per field, a type check and what it wants.
+_INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_REAL = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
+_FIELD_TYPES = {
+    **dict.fromkeys(("nx", "ny", "nz", "steps", "n_a", "probe_every", "shots", "seed"), _INT),
+    **dict.fromkeys(("dt", "p_min", "p_max", "offset_c"), _REAL),
+    "weighted": (lambda v: isinstance(v, bool), "true or false"),
+    "probes": (lambda v: isinstance(v, list), "a list"),
+    "snapshot_times": (lambda v: isinstance(v, list) and all(map(_REAL[0], v)), "a list of numbers"),
+    **dict.fromkeys(("scenario", "backend", "outdir"), (lambda v: isinstance(v, str), "a string")),
+    "recovery_mode": (lambda v: v in ("single", "lsq"), "'single' or 'lsq'"),
+}
+
 
 @dataclass
 class RunConfig:
@@ -72,6 +86,10 @@ class RunConfig:
         is checked against ``DIMENSION_CAP`` by arithmetic, before the
         register allocates its ``2**n_a`` grid points.
         """
+        for name, (check, wanted) in _FIELD_TYPES.items():
+            value = getattr(self, name)  # a field whose default is None may be None
+            if not check(value) and not (value is None and self.__dataclass_fields__[name].default is None):
+                raise ConfigError(f"{name} must be {wanted}, not {value!r}")
         try:
             self.built_scenario = build_scenario(self.scenario, self.nx, self.ny, self.nz)
             # Small grids can put the scenario's impulse on a pad slot.
@@ -116,18 +134,15 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     unknown = set(data) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        return RunConfig(**data).validate()
-    except TypeError as e:
-        raise ConfigError(f"bad config value: {e}") from e
+    return RunConfig(**data).validate()
 
 
 def _parse_probes(items, layout: FieldLayout) -> list[ProbeRequest]:
     """Probe requests from ``comp:i:j[:k]`` specs (or JSON lists), each checked against ``layout``."""
     out = []
     for item in items:
-        parts = item.split(":") if isinstance(item, str) else list(item)
-        if len(parts) not in (3, 4):
+        parts = item.split(":") if isinstance(item, str) else item
+        if not isinstance(parts, (list, tuple)) or len(parts) not in (3, 4):
             raise ConfigError(f"probe {item!r} must be comp:i:j[:k]")
         try:
             idx = [int(p) for p in parts[1:]] + [0] * (4 - len(parts))
@@ -226,8 +241,9 @@ def _oracle_backend(config, scenario, a, u0, dt, probes, manifest):
 
 
 def _lifted_exact_backend(config, scenario, a, u0, dt, probes, manifest):
-    runner = LiftedExactRunner(a, u0, config.register, dt, _weights(config, scenario))
-    manifest["skew_defect_used"] = skew_defect((runner.pair.h1 + 1j * runner.pair.h2).real)
+    pair = hermitian_split(a, _weights(config, scenario))
+    runner = LiftedExactRunner(pair, u0, config.register, dt)
+    manifest["skew_defect_used"] = skew_defect((pair.h1 + 1j * pair.h2).real)
     recover = partial(runner.recover, config.recovery_mode)
     return runner, recover, lambda writer: writer.exact(runner.time, recover())
 
@@ -371,10 +387,11 @@ def _read_csv_rows(path: Path) -> list[list[str]]:
 def execute_compare(dir_a: str, dir_b: str, outdir: str | None) -> dict:
     pa, pb = Path(dir_a), Path(dir_b)
     try:
-        ma = json.loads((pa / "manifest.json").read_text())
-        mb = json.loads((pb / "manifest.json").read_text())
-    except OSError as e:
+        ma, mb = (json.loads((p / "manifest.json").read_text()) for p in (pa, pb))
+    except (OSError, ValueError) as e:
         raise ConfigError(f"cannot read manifests: {e}") from e
+    if not all(isinstance(m, dict) and {"scenario", "grid", "artifacts"} <= m.keys() for m in (ma, mb)):
+        raise ConfigError("each manifest must be an object with scenario, grid and artifacts")
     if ma["grid"] != mb["grid"] or ma["scenario"] != mb["scenario"]:
         raise ConfigError("runs have mismatching scenario or layout")
     out = Path(outdir) if outdir else pa / "compare"

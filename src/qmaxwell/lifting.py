@@ -10,6 +10,9 @@ bound of ``H1`` and rescaled by ``e^{p}``.
 The ``p`` grid is uniform and cell-centered on ``[p_min, p_max)`` so that the
 default symmetric window samples ``e^{-|p|}`` evenly and always contains a
 strictly positive point.
+
+The lift lives in one place, :class:`LiftedRunner`: it builds the joint state
+and reads the field back (``recover_solution``); subclasses only advance it.
 """
 
 from __future__ import annotations
@@ -129,35 +132,6 @@ class PRegister:
         return 2.0 * math.pi * np.fft.fftfreq(self.n_points, d=self.dp)
 
 
-@dataclass(frozen=True)
-class LiftedState:
-    """Unit-norm joint state with the physical scale carried alongside."""
-
-    values: np.ndarray
-    norm: float
-    reg: PRegister
-
-
-def initial_lifted_state(u0, reg: PRegister, weights: np.ndarray | None = None) -> LiftedState:
-    """Lift an initial field into the joint register.
-
-    Slice ``k`` holds ``e^{-|p_k|} u0`` (the even extension of the decay
-    profile); the auxiliary index is the slow/outer one.  The joint vector is
-    normalized and its physical norm recorded for rescaling at recovery.
-    With ``weights`` the lifted field is the scaled ``weights * u0``.
-    """
-    u = u0.values if isinstance(u0, FieldState) else np.asarray(u0)
-    if weights is not None:
-        u = weights * u
-    nrm_u = np.linalg.norm(u)
-    if nrm_u == 0:
-        raise ValueError("cannot lift a zero-norm initial state")
-    profile = np.exp(-np.abs(reg.p_values))
-    joint = np.kron(profile, u).astype(complex)
-    norm = float(np.linalg.norm(joint))
-    return LiftedState(values=joint / norm, norm=norm, reg=reg)
-
-
 def evolve_lifted_exact(pair: HermitianPair, reg: PRegister, v0: np.ndarray, t: float) -> np.ndarray:
     """Circuit-free reference evolution of the lifted state.
 
@@ -168,9 +142,7 @@ def evolve_lifted_exact(pair: HermitianPair, reg: PRegister, v0: np.ndarray, t: 
     v0 = np.asarray(v0, dtype=complex)
     d = pair.dim
     if v0.size != reg.n_points * d:
-        raise ValueError(
-            f"lifted state length {v0.size} != {reg.n_points} x {d}"
-        )
+        raise ValueError(f"lifted state length {v0.size} != {reg.n_points} x {d}")
     branches = np.fft.ifft(v0.reshape(reg.n_points, d), axis=0)
     for k, xi in enumerate(reg.xi_values):
         gen = lifted_hamiltonian(pair, float(xi))
@@ -221,15 +193,21 @@ def feasible_bound(pair: HermitianPair, reg: PRegister, t: float) -> float:
 class LiftedRunner:
     """The lifted state of ``D u0`` and its read-back; subclasses supply ``advance``.
 
-    ``psi`` is the unit-norm joint state (auxiliary index outer) and ``norm``
-    its physical scale.  ``D`` is ``pair.weights``, the similarity scaling
-    that ``pair`` was split under; recovery divides it back out, so results
-    are in the original variables either way.
+    Slice ``k`` of the joint state holds ``e^{-|p_k|} D u0`` (the even
+    extension of the decay profile), with the auxiliary index outer.
+    ``psi`` is that state normalized and ``norm`` the physical scale it was
+    divided by.  ``D`` is ``pair.weights``, the similarity scaling that
+    ``pair`` was split under; recovery divides it back out, so results are
+    in the original variables either way.
     """
 
     def __init__(self, pair: HermitianPair, u0: FieldState, reg: PRegister, dt: float):
-        lifted = initial_lifted_state(u0, reg, pair.weights)
-        self.pair, self.psi, self.norm = pair, lifted.values, lifted.norm
+        u = pair.weights * u0.values
+        if np.linalg.norm(u) == 0:
+            raise ValueError("cannot lift a zero-norm initial state")
+        joint = np.kron(np.exp(-np.abs(reg.p_values)), u).astype(complex)
+        self.norm = float(np.linalg.norm(joint))
+        self.pair, self.psi = pair, joint / self.norm
         self.reg, self.dt, self.layout = reg, dt, u0.layout
         self.steps_done = 0
 
@@ -239,9 +217,7 @@ class LiftedRunner:
 
     def recover(self, mode: str = "single") -> FieldState:
         """Physical field at the current time."""
-        return recover_solution(
-            self.psi, self.reg, self.pair, self.time, self.norm, self.layout, mode
-        )
+        return recover_solution(self.psi, self.reg, self.pair, self.time, self.norm, self.layout, mode)
 
     def readout(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``p*`` slice of ``psi`` and each sample's physical scale ``e^{p*} * norm / w``."""
@@ -252,9 +228,6 @@ class LiftedRunner:
 
 class LiftedExactRunner(LiftedRunner):
     """Lifted runner without a circuit: ``evolve_lifted_exact`` by ``steps * dt``."""
-
-    def __init__(self, a, u0: FieldState, reg: PRegister, dt: float, weights: np.ndarray | None = None):
-        super().__init__(hermitian_split(a, weights), u0, reg, dt)
 
     def advance(self, steps: int) -> None:
         if steps:
@@ -267,20 +240,19 @@ def recover_solution(
     reg: PRegister,
     pair: HermitianPair,
     t: float,
-    norm: float = 1.0,
-    layout: FieldLayout | None = None,
+    norm: float,
+    layout: FieldLayout,
     mode: str = "single",
-):
-    """Read the physical solution back from the lifted state.
+) -> FieldState:
+    """Read the physical field at time ``t`` back from the lifted state ``v``.
 
     ``mode="single"`` evaluates the recovery point ``p*`` (``reg.p_star``)
     and rescales by ``e^{p*}``; it must lie above the spectral bound or
     recovery is refused.  ``mode="lsq"`` solves the least-squares fit over
     every point above the bound instead.  ``norm`` restores the physical
-    scale of a normalized simulation state, and dividing by ``pair.weights``
-    undoes the similarity scaling the pair was split under.  Returns
-    a :class:`FieldState` when ``layout`` is given (imaginary residue, pure
-    p-discretization noise, is dropped), else the real vector.
+    scale of the normalized state, and dividing by ``pair.weights`` undoes
+    the similarity scaling the pair was split under.  The imaginary residue,
+    pure p-discretization noise, is dropped.
     """
     v = np.asarray(v, dtype=complex).reshape(reg.n_points, -1)
     bound = feasible_bound(pair, reg, t)
@@ -293,7 +265,4 @@ def recover_solution(
         u = (w[:, None] * (norm * v[sel])).sum(axis=0) / np.sum(w * w)
     else:
         raise ValueError(f"unknown recovery mode {mode!r}")
-    u = u.real / pair.weights
-    if layout is not None:
-        return FieldState(values=u, layout=layout, time=t)
-    return u
+    return FieldState(values=u.real / pair.weights, layout=layout, time=t)

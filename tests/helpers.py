@@ -8,11 +8,16 @@
 * ``unpack_impulses``: the inverse of ``pack_initial_condition`` on sparse
   impulse states;
 * ``is_pad``: the pad test of one sample;
-* ``reconstruct``: the dense sum of tensor strings or blocks.
+* ``reconstruct``: the dense sum of tensor strings or blocks;
+* ``flat_state``: a bare vector as a field state with no grid behind it.
 """
+
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
+from qmaxwell.bell import ID, S00, S01, S10, S11
 from qmaxwell.circuit import Circuit, simulate
 from qmaxwell.errors import QmaxwellError
 from qmaxwell.grid import Component, FieldLayout, FieldState
@@ -78,13 +83,36 @@ def is_pad(layout: FieldLayout, component: Component, i: int, j: int, k: int = 0
     return bool(layout.classify(component, i, j, k).pad)
 
 
+# Dense 2x2 factor of each tensor-string tag, independent of the library's table.
+_FACTOR = {
+    ID: np.eye(2),
+    S00: np.array([[1, 0], [0, 0]]),
+    S01: np.array([[0, 1], [0, 0]]),
+    S10: np.array([[0, 0], [1, 0]]),
+    S11: np.array([[0, 0], [0, 1]]),
+}
+
+
 def reconstruct(items) -> np.ndarray:
-    """Sum term (or block) matrices densely; for small dimensions."""
-    items = list(items)
-    if not items:
-        return np.zeros((1, 1), dtype=complex)
-    dim = 1 << items[0].n
-    out = np.zeros((dim, dim), dtype=complex)
-    for it in items:
-        out += it.matrix()
+    """Dense sum of a ``{factors: coefficient}`` string map, or of blocks; for small dimensions."""
+    if isinstance(items, dict):
+        mats = [c * reduce(np.kron, (_FACTOR[f] for f in factors)) for factors, c in items.items()]
+    else:
+        mats = [b.matrix() for b in items]
+    out = np.zeros(mats[0].shape if mats else (1, 1), dtype=complex)
+    for m in mats:
+        out += m
     return out
+
+
+@dataclass(frozen=True)
+class FlatLayout:
+    """Layout stand-in for a bare vector: its length, and no grid behind it."""
+
+    state_len: int
+
+
+def flat_state(values) -> FieldState:
+    """A bare vector as a ``FieldState``, to lift operators that no grid assembled."""
+    values = np.asarray(values)
+    return FieldState(values=values, layout=FlatLayout(values.size))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qmaxwell.bell import BellBlock, S01, compile_blocks, tensorize, pair_adjoints
+from qmaxwell.bell import BellBlock, S01, compile_blocks, tensorize
 from qmaxwell.circuit import Circuit, gate_stats
 from qmaxwell.grid import (
     Boundaries,
@@ -24,13 +24,7 @@ from qmaxwell.grid import (
     pack_initial_condition,
     qubit_count,
 )
-from qmaxwell.lifting import (
-    PRegister,
-    evolve_lifted_exact,
-    hermitian_split,
-    initial_lifted_state,
-    recover_solution,
-)
+from qmaxwell.lifting import LiftedExactRunner, PRegister, hermitian_split
 from qmaxwell.measure import (
     ProbeRequest,
     apply_offset,
@@ -55,7 +49,7 @@ from qmaxwell.oracle import (
 from qmaxwell.scenarios import scenario_2d_empty, scenario_2d_scatterer, scenario_3d_empty
 from qmaxwell.trotter import TrotterRunner, block_gates
 
-from helpers import gates_unitary, normalized_cross_correlation, reconstruct
+from helpers import flat_state, gates_unitary, normalized_cross_correlation, reconstruct
 from stencil_oracle import apply_curl_2d, apply_curl_3d
 
 
@@ -116,10 +110,8 @@ def test_criterion_02_bell_reconstruction_and_blocks():
     for h in operators:
         if not np.any(h):
             continue
-        terms = tensorize(h)
-        worst_recon = max(worst_recon, float(np.linalg.norm(reconstruct(terms) - h)))
-        blocks, diag = pair_adjoints(terms)
-        assert not diag  # the curl generators have a zero diagonal
+        worst_recon = max(worst_recon, float(np.linalg.norm(reconstruct(tensorize(h)) - h)))
+        blocks = compile_blocks(h)  # refuses a diagonal string; the curl generators have none
         n = int(math.log2(h.shape[0]))
         for block in blocks:
             u = gates_unitary(block_gates(block, dt), n)
@@ -226,11 +218,10 @@ def test_criterion_05_exact_recovery_when_skew():
         dim = pair.dim
         u0 = np.zeros(dim)
         u0[dim // 3] = 1.0
-        lift = initial_lifted_state(u0, reg)
         for t in (0.5, 2.0, 8.0):
-            v = evolve_lifted_exact(pair, reg, lift.values, t)
-            rec = recover_solution(v, reg, pair, t, norm=lift.norm)
-            err = float(np.linalg.norm(rec - expm(a.toarray() * t) @ u0))
+            runner = LiftedExactRunner(pair, flat_state(u0), reg, t)
+            runner.advance(1)
+            err = float(np.linalg.norm(runner.recover().values - expm(a.toarray() * t) @ u0))
             worst = max(worst, err)
             ok = ok and err < 1e-10
         n_exercised += 1

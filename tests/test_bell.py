@@ -1,20 +1,20 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from qmaxwell.bell import (
-    TensorTerm,
     S01,
     S10,
-    S11,
     ID,
     compile_blocks,
-    pair_adjoints,
     tensorize,
 )
 from qmaxwell.circuit import MCRZ
 from qmaxwell.errors import HermiticityError
-from qmaxwell.grid import GridSpec, ScattererBox
+from qmaxwell.grid import Boundaries, GridSpec, ScattererBox
 from qmaxwell.lifting import hermitian_split
 from qmaxwell.operators import (
     assemble_generator,
@@ -32,14 +32,10 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 class TestTensorize:
     def test_pauli_x(self):
-        terms = tensorize(PAULI_X)
-        assert {t.factors: t.coefficient for t in terms} == {
-            (S01,): 1.0,
-            (S10,): 1.0,
-        }
+        assert tensorize(PAULI_X) == {(S01,): 1.0, (S10,): 1.0}
 
     def test_zero_matrix(self):
-        assert tensorize(np.zeros((4, 4))) == []
+        assert tensorize(np.zeros((4, 4))) == {}
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
@@ -48,8 +44,7 @@ class TestTensorize:
     def test_identity_factor_merging(self):
         # I (x) X must come out as exactly two strings, not one per entry.
         h = np.kron(np.eye(8), PAULI_X)
-        terms = tensorize(h)
-        assert sorted(t.factors for t in terms) == [
+        assert list(tensorize(h)) == [
             (ID, ID, ID, S01),
             (ID, ID, ID, S10),
         ]
@@ -88,41 +83,44 @@ class TestTensorize:
         assert np.linalg.norm(reconstruct(terms) - h2) < 1e-13
 
     def test_strings_unique(self):
+        # A map holds each string once; it is also sorted, and sums back to h.
         rng = np.random.default_rng(0)
         h = rng.standard_normal((16, 16))
-        factors = [t.factors for t in tensorize(h)]
-        assert len(factors) == len(set(factors))
+        strings = tensorize(h)
+        assert list(strings) == sorted(strings)
+        assert np.linalg.norm(reconstruct(strings) - h) < 1e-13
 
 
 class TestPairAdjoints:
+    """``compile_blocks`` pairs every string with its adjoint."""
+
     def test_pauli_x_pairs_to_one(self):
-        pairs, diag = pair_adjoints(tensorize(PAULI_X))
-        assert diag == []
+        pairs = compile_blocks(PAULI_X)
         assert len(pairs) == 1
+        assert pairs[0].factors == (S01,)
         assert pairs[0].weight == 1.0
         assert pairs[0].phase == 0.0
 
     def test_h2_terms_all_matched(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
         pair = hermitian_split(assemble_generator(spec))
-        pairs, diag = pair_adjoints(tensorize(pair.h2))
-        assert diag == []  # zero diagonal
-        total = reconstruct(pairs)
+        total = reconstruct(compile_blocks(pair.h2))
         assert np.linalg.norm(total - pair.h2.toarray()) < 1e-13
 
     def test_unmatched_term_rejected(self):
-        lone = [TensorTerm(1.0 + 0j, (S01,))]
-        with pytest.raises(HermiticityError):
-            pair_adjoints(lone)
+        # A lone |0><1| string, and a lone |1><0| string.
+        for lone in ([[0, 1], [0, 0]], [[0, 0], [1, 0]]):
+            with pytest.raises(HermiticityError, match="no adjoint partner"):
+                compile_blocks(np.array(lone, dtype=complex))
 
     def test_mismatched_coefficient_rejected(self):
-        terms = [TensorTerm(1.0 + 0j, (S01,)), TensorTerm(0.5 + 0j, (S10,))]
-        with pytest.raises(HermiticityError):
-            pair_adjoints(terms)
+        with pytest.raises(HermiticityError, match="adjoint coefficients differ"):
+            compile_blocks(np.array([[0, 1], [0.5, 0]], dtype=complex))
 
     def test_complex_diagonal_rejected(self):
-        with pytest.raises(HermiticityError):
-            pair_adjoints([TensorTerm(1j, (S11,))])
+        # A diagonal string has no block, whatever its coefficient.
+        with pytest.raises(ValueError, match=r"\('s11',\)"):
+            compile_blocks(np.array([[0, 0], [0, 1j]]))
 
 
 def simulated_block_unitary(block, dt, n=None):
@@ -131,8 +129,7 @@ def simulated_block_unitary(block, dt, n=None):
 
 class TestBellBlocks:
     def test_single_qubit_x_block(self):
-        blocks, _ = pair_adjoints(tensorize(PAULI_X))
-        block = blocks[0]
+        block = compile_blocks(PAULI_X)[0]
         assert block.flip_qubits == (0,)
         assert [g.angle for g in block_gates(block, 0.3) if g.kind == MCRZ] == [pytest.approx(-0.6)]
         u = simulated_block_unitary(block, 0.3)
@@ -143,7 +140,7 @@ class TestBellBlocks:
         # |01><10| + h.c. on two qubits.
         h = np.zeros((4, 4), dtype=complex)
         h[1, 2] = h[2, 1] = 0.7
-        blocks, _ = pair_adjoints(tensorize(h))
+        blocks = compile_blocks(h)
         assert len(blocks) == 1
         block = blocks[0]
         assert set(block.flip_qubits) == {0, 1}
@@ -154,8 +151,7 @@ class TestBellBlocks:
         # sigma11 spectator on the high qubit adds a control-on-1.
         h = np.zeros((4, 4), dtype=complex)
         h[2, 3] = h[3, 2] = 1.0
-        blocks, _ = pair_adjoints(tensorize(h))
-        block = blocks[0]
+        block = compile_blocks(h)[0]
         assert block.controls == ((1,), (1,))
         u = simulated_block_unitary(block, 0.4)
         assert np.linalg.norm(u - expm(1j * 0.4 * h)) < 1e-12
@@ -163,8 +159,7 @@ class TestBellBlocks:
     def test_imaginary_pair_coefficient(self):
         # i|0><1| - i|1><0| (Pauli-Y-like): nontrivial phase.
         h = np.array([[0, 1j], [-1j, 0]], dtype=complex)
-        blocks, _ = pair_adjoints(tensorize(h))
-        u = simulated_block_unitary(blocks[0], 0.5)
+        u = simulated_block_unitary(compile_blocks(h)[0], 0.5)
         assert np.linalg.norm(u - expm(1j * 0.5 * h)) < 1e-12
 
     def test_identity_term_rejected(self):
@@ -176,8 +171,7 @@ class TestBellBlocks:
         h = np.zeros((8, 8), dtype=complex)
         h[1, 6] = 0.25 - 0.4j
         h[6, 1] = 0.25 + 0.4j
-        blocks, _ = pair_adjoints(tensorize(h))
-        assert np.linalg.norm(blocks[0].matrix() - h) < 1e-13
+        assert np.linalg.norm(compile_blocks(h)[0].matrix() - h) < 1e-13
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("name, nx", [("2d-empty", 8), ("2d-scatterer", 8), ("3d-empty", 4)])
@@ -204,3 +198,38 @@ class TestBellBlocks:
             assert np.linalg.norm(u @ u.conj().T - np.eye(64)) < 1e-12
             expected = expm(1j * dt * b.matrix())
             assert np.linalg.norm(u - expected) < 1e-10
+
+
+def _digest_specs():
+    for faces in itertools.product(("pmc", "pec"), repeat=4):
+        for body in (None, "pmc", "pec"):
+            box = None if body is None else ScattererBox((2, 2), (6, 6), faces=body)
+            yield GridSpec(nx=8, ny=8, dim=2, boundaries=Boundaries(*faces), scatterer=box)
+    for name, nx in (
+        ("2d-empty", 8), ("2d-empty", 32), ("2d-scatterer", 8), ("2d-scatterer", 16),
+        ("3d-empty", 4), ("3d-empty", 8),
+    ):
+        yield build_scenario(name, nx=nx).spec
+
+
+def test_compiled_blocks_pinned():
+    """sha256 over every block's factors and coefficient bytes, in compile order.
+
+    Both Hermitian parts, weighted and unweighted, of 54 grids: every outer
+    face mix of an 8x8 grid with no body, a PMC body and a PEC body, plus
+    the three named scenarios at two sizes each.  A change to which string
+    represents a pair, to the block order or to any coefficient bit fails.
+    """
+    h = hashlib.sha256()
+    n_blocks = 0
+    for spec in _digest_specs():
+        a = assemble_generator(spec)
+        for weights in (None, symmetrizing_weights(spec)):
+            pair = hermitian_split(a, weights)
+            for op in (pair.h1, pair.h2):
+                for block in compile_blocks(op):
+                    h.update(repr(block.factors).encode())
+                    h.update(np.complex128(block.coefficient).tobytes())
+                    n_blocks += 1
+    assert n_blocks == 6630
+    assert h.hexdigest() == "6530e135773100b88b5572689fba04c73b9b117592272f41a9421a38ed96612b"

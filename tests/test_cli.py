@@ -18,13 +18,7 @@ from qmaxwell.cli import (
 )
 from qmaxwell.errors import ConfigError
 from qmaxwell.grid import Component, pack_initial_condition
-from qmaxwell.lifting import (
-    PRegister,
-    evolve_lifted_exact,
-    hermitian_split,
-    initial_lifted_state,
-    recover_solution,
-)
+from qmaxwell.lifting import LiftedExactRunner, PRegister, hermitian_split
 from qmaxwell.operators import assemble_generator, symmetrizing_weights
 from qmaxwell.oracle import exact_evolution, snapshot, trotter_error_table
 from qmaxwell.scenarios import build_scenario
@@ -189,9 +183,9 @@ class TestRun:
         pair = hermitian_split(assemble_generator(scenario.spec), w)
         reg = PRegister(1)
         u0 = pack_initial_condition(scenario.spec, list(scenario.impulses))
-        lift = initial_lifted_state(u0, reg, w)
-        v = evolve_lifted_exact(pair, reg, lift.values, 2.0)
-        direct = recover_solution(v, reg, pair, 2.0, lift.norm, u0.layout)
+        runner = LiftedExactRunner(pair, u0, reg, 2.0)
+        runner.advance(1)
+        direct = runner.recover()
         for comp in u0.layout.components:
             got = np.loadtxt(Path(config.outdir) / f"{comp.value}_T2.csv", delimiter=",")
             assert np.max(np.abs(got - snapshot(direct, comp))) <= 1e-12
@@ -226,6 +220,17 @@ class TestCompare:
         report = execute_compare(str(tmp_path / "a"), str(tmp_path / "b"), str(tmp_path / "cmp"))
         assert all(v["l2"] == 0.0 for v in report["snapshots"].values())
         assert report["probes"]["linf"] == 0.0
+
+    @pytest.mark.parametrize("text", ["{not json", "{}", "[1]"], ids=["unreadable", "no-keys", "not-object"])
+    def test_malformed_manifest_exit_two(self, tmp_path, text):
+        execute_run(small_run_config(tmp_path, outdir=str(tmp_path / "a"), steps=0, probes=[]))
+        bad = tmp_path / "b"
+        bad.mkdir()
+        (bad / "manifest.json").write_text(text)
+        report = tmp_path / "cmp"
+        for pair in ((tmp_path / "a", bad), (bad, tmp_path / "a")):
+            assert main(["compare", *map(str, pair), "--outdir", str(report)]) == 2
+            assert not report.exists()
 
     def test_layout_mismatch_rejected(self, tmp_path):
         c1 = small_run_config(tmp_path, outdir=str(tmp_path / "a"))
@@ -314,7 +319,12 @@ class TestMain:
         def no_register(*args):
             raise AssertionError("the register was built before its size was checked")
 
-        scatterer = ["run", "--scenario", "2d-scatterer", "--nx", "8", "--steps", "2"]
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        unstepped = ["run", "--scenario", "2d-scatterer", "--nx", "8"]
+        scatterer = [*unstepped, "--steps", "2"]
+        probed = [*scatterer, "--probes", "Ez:1:1"]
         empty = ["run", "--scenario", "2d-empty", "--steps", "1"]
         table = ["table", "--scenario", "2d-empty", "--nx", "4"]
         bad = [
@@ -342,10 +352,30 @@ class TestMain:
             (table + ["--dts", "0", "--times", "1.0"], None),
             (table + ["--dts", "nan", "--times", "1.0"], None),
             (table + ["--dts", "0.1", "--times", "nan"], None),
+            # JSON values of the wrong type.
+            (unstepped, {"steps": 2.5}),
+            (unstepped + ["--probes", "Ez:1:1"], {"steps": 2.5}),
+            (probed, {"probe_every": 1.5}),
+            (probed, {"seed": "x"}),
+            (probed, {"shots": 2.5}),
+            (scatterer, {"recovery_mode": "foo"}),
+            (scatterer, {"outdir": 5}),
+            (scatterer, {"weighted": "no"}),
+            (scatterer, {"dt": True}),
+            (scatterer, {"n_a": True}),
+            (["run", "--scenario", "2d-scatterer", "--steps", "2"], {"nx": 8.0}),
+            (scatterer, {"p_min": "-1"}),
+            (scatterer, {"offset_c": False}),
+            (scatterer, {"backend": ["circuit"]}),
+            (scatterer, {"probes": "Ez:1:1"}),
+            (scatterer, {"probes": [5]}),
+            (scatterer, {"snapshot_times": 1.0}),
+            (scatterer, {"snapshot_times": [0.0, "1"]}),
         ]
         for k, (args, config) in enumerate(bad):
             out = tmp_path / f"r{k}"
-            argv = [*args, "--outdir", str(out)]
+            # A config that names its own outdir is not overridden by the flag.
+            argv = [*args] if config and "outdir" in config else [*args, "--outdir", str(out)]
             if config is not None:
                 path = tmp_path / f"c{k}.json"
                 path.write_text(json.dumps(config))
@@ -355,6 +385,7 @@ class TestMain:
                     patch.setattr("qmaxwell.cli.PRegister", no_register)
                 assert main(argv) == 2, (args, config)
             assert not out.exists() or not any(out.iterdir()), (args, config)
+        assert not any(cwd.iterdir())
 
     def test_infeasible_recovery_exit_three(self, tmp_path, capsys):
         # Unweighted scatterer-free run with a window below the spectral bound.

@@ -9,15 +9,17 @@ from qmaxwell.grid import Component, FieldLayout, GridSpec, ScattererBox, pack_i
 from qmaxwell.lifting import (
     HermitianPair,
     LiftedExactRunner,
+    LiftedRunner,
     PRegister,
     evolve_lifted_exact,
     hermitian_split,
-    initial_lifted_state,
     lifted_hamiltonian,
     recover_solution,
     recovery_bound,
 )
 from qmaxwell.operators import apply_weights, as_csr, assemble_generator, skew_defect, symmetrizing_weights
+
+from helpers import FlatLayout, flat_state
 
 
 def random_generator(n, rng):
@@ -95,13 +97,19 @@ class TestPRegister:
         assert np.allclose(reg.xi_values, 2 * math.pi * np.fft.fftfreq(4, reg.dp))
 
 
+def lift(u0, reg: PRegister) -> LiftedRunner:
+    """The runner's lifted state of a bare vector, unweighted (a zero generator's pair)."""
+    n = len(u0)
+    return LiftedRunner(hermitian_split(np.zeros((n, n))), flat_state(u0), reg, 0.1)
+
+
 class TestInitialLiftedState:
     def test_zero_point_slice_equals_input(self):
         # Grid {0, 2}: the p=0 slice carries u0 itself.
         reg = PRegister(n_a=1, p_min=-1.0, p_max=3.0)
         u0 = np.array([3.0, 4.0])
-        lift = initial_lifted_state(u0, reg)
-        v = (lift.values * lift.norm).reshape(2, 2)
+        lifted = lift(u0, reg)
+        v = (lifted.psi * lifted.norm).reshape(2, 2)
         assert np.allclose(v[0], u0)
 
     def test_symmetric_two_point_grid(self):
@@ -109,8 +117,8 @@ class TestInitialLiftedState:
         reg = PRegister(n_a=1, p_min=-2 * pbar, p_max=2 * pbar)
         assert np.allclose(reg.p_values, [-pbar, pbar])
         u0 = np.array([1.0, -2.0, 0.5, 0.0])
-        lift = initial_lifted_state(u0, reg)
-        v = (lift.values * lift.norm).reshape(2, 4)
+        lifted = lift(u0, reg)
+        v = (lifted.psi * lifted.norm).reshape(2, 4)
         assert np.allclose(v[0], math.exp(-pbar) * u0)
         assert np.allclose(v[1], math.exp(-pbar) * u0)
 
@@ -118,14 +126,14 @@ class TestInitialLiftedState:
         reg = PRegister(n_a=3, p_min=-4.0, p_max=4.0)
         rng = np.random.default_rng(3)
         u0 = rng.standard_normal(8)
-        lift = initial_lifted_state(u0, reg)
-        v = (lift.values * lift.norm).reshape(8, 8)
+        lifted = lift(u0, reg)
+        v = (lifted.psi * lifted.norm).reshape(8, 8)
         for k, p in enumerate(reg.p_values):
             assert np.isclose(np.linalg.norm(v[k]), math.exp(-abs(p)) * np.linalg.norm(u0))
 
     def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError):
-            initial_lifted_state(np.zeros(4), PRegister(n_a=1))
+        with pytest.raises(ValueError, match="zero-norm"):
+            lift(np.zeros(4), PRegister(n_a=1))
 
 
 def joint_generator(pair, reg):
@@ -165,28 +173,28 @@ class TestLiftedExactRunner:
         w = symmetrizing_weights(spec)
         reg = PRegister(n_a=2)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
-        runner = LiftedExactRunner(a, u0, reg, 0.1, w)
         pair = hermitian_split(a, w)
-        lift = initial_lifted_state(u0, reg, w)
+        runner = LiftedExactRunner(pair, u0, reg, 0.1)
+        psi0, norm = runner.psi, runner.norm
         for s in (1, 4, 15):
             runner.advance(s - runner.steps_done)
             got = runner.recover()
-            v = evolve_lifted_exact(pair, reg, lift.values, s * 0.1)
-            want = recover_solution(v, reg, pair, s * 0.1, lift.norm)
+            v = evolve_lifted_exact(pair, reg, psi0, s * 0.1)
+            want = recover_solution(v, reg, pair, s * 0.1, norm, u0.layout)
             assert got.time == s * 0.1
-            assert np.max(np.abs(got.values - want)) <= 1e-12
+            assert np.max(np.abs(got.values - want.values)) <= 1e-12
 
     def test_recovery_undoes_weights(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
         a = assemble_generator(spec)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
-        runner = LiftedExactRunner(a, u0, PRegister(n_a=1), 0.1, symmetrizing_weights(spec))
+        runner = LiftedExactRunner(hermitian_split(a, symmetrizing_weights(spec)), u0, PRegister(n_a=1), 0.1)
         assert np.max(np.abs(runner.recover().values - u0.values)) <= 1e-12
 
     def test_unweighted_readout_scales_are_uniform(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
-        runner = LiftedExactRunner(assemble_generator(spec), u0, PRegister(n_a=2), 0.1)
+        runner = LiftedExactRunner(hermitian_split(assemble_generator(spec)), u0, PRegister(n_a=2), 0.1)
         runner.advance(1)
         amps, scales = runner.readout()
         scale = math.exp(runner.reg.p_star) * runner.norm
@@ -239,10 +247,10 @@ class TestEvolveLiftedExact:
         pair = hermitian_split(assemble_generator(spec))
         reg = PRegister(n_a=2)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
-        v0 = initial_lifted_state(u0, reg)
-        v_spec = evolve_lifted_exact(pair, reg, v0.values, 0.5)
+        v0 = LiftedRunner(pair, u0, reg, 0.5).psi
+        v_spec = evolve_lifted_exact(pair, reg, v0, 0.5)
         g = joint_generator(pair, reg)
-        v_rk4 = rk4(lambda v: g @ v, v0.values, 0.5, 400)
+        v_rk4 = rk4(lambda v: g @ v, v0, 0.5, 400)
         rel = np.linalg.norm(v_spec - v_rk4) / np.linalg.norm(v_rk4)
         assert rel < 1e-3
 
@@ -254,14 +262,14 @@ class TestEvolveLiftedExact:
         pair = hermitian_split(assemble_generator(spec))
         reg = PRegister(n_a=8)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
-        v0 = initial_lifted_state(u0, reg)
         t = 0.5
-        v_spec = evolve_lifted_exact(pair, reg, v0.values, t).reshape(reg.n_points, -1)
+        v0 = LiftedRunner(pair, u0, reg, t).psi
+        v_spec = evolve_lifted_exact(pair, reg, v0, t).reshape(reg.n_points, -1)
 
         h1 = pair.h1.toarray()
         lam, q = np.linalg.eigh(h1)
         h2r = q.T @ pair.h2.toarray() @ q
-        w = (v0.values.reshape(reg.n_points, -1) @ q).astype(complex)
+        w = (v0.reshape(reg.n_points, -1) @ q).astype(complex)
         dp = reg.dp
         dt = 0.2 * dp / max(np.max(np.abs(lam)), 1e-12)
         steps = int(np.ceil(t / dt))
@@ -304,9 +312,8 @@ class TestRecovery:
         pair = hermitian_split(assemble_generator(spec))
         reg = PRegister(n_a=2)
         u0 = pack_initial_condition(spec, [(Component.EZ, 1, 2, 0, 1.0)])
-        lift = initial_lifted_state(u0, reg)
-        rec = recover_solution(lift.values, reg, pair, 0.0, norm=lift.norm)
-        assert np.max(np.abs(rec - u0.values)) < 1e-10
+        rec = LiftedExactRunner(pair, u0, reg, 0.1).recover()
+        assert np.max(np.abs(rec.values - u0.values)) < 1e-10
 
     def test_h1_zero_recovery_exact(self):
         rng = np.random.default_rng(8)
@@ -316,12 +323,11 @@ class TestRecovery:
         assert skew_defect(as_csr(a)) < 1e-14
         reg = PRegister(n_a=1)
         u0 = rng.standard_normal(8)
-        lift = initial_lifted_state(u0, reg)
         for t in (0.5, 1.0, 2.0):
-            v = evolve_lifted_exact(pair, reg, lift.values, t)
-            rec = recover_solution(v, reg, pair, t, norm=lift.norm)
+            runner = LiftedExactRunner(pair, flat_state(u0), reg, t)
+            runner.advance(1)
             exact = expm(a * t) @ u0
-            assert np.linalg.norm(rec - exact) < 1e-10
+            assert np.linalg.norm(runner.recover().values - exact) < 1e-10
 
     def test_2d_recovery_error_band(self):
         # Non-normal boundary part present: recovery is approximate; the
@@ -331,9 +337,9 @@ class TestRecovery:
         pair = hermitian_split(a)
         reg = PRegister(n_a=3)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
-        lift = initial_lifted_state(u0, reg)
-        v = evolve_lifted_exact(pair, reg, lift.values, 1.0)
-        rec = recover_solution(v, reg, pair, 1.0, norm=lift.norm)
+        runner = LiftedExactRunner(pair, u0, reg, 1.0)
+        runner.advance(1)
+        rec = runner.recover().values
         exact = expm(a.toarray() * 1.0) @ u0.values
         rel = np.linalg.norm(rec - exact) / np.linalg.norm(exact)
         print(f"recovery error (4x4, n_a=3, t=1): {rel:.3e}")
@@ -344,7 +350,7 @@ class TestRecovery:
         reg = PRegister(n_a=1)
         v = np.ones(4, dtype=complex)
         with pytest.raises(RecoveryInfeasibleError) as e:
-            recover_solution(v, reg, pair, 10.0)
+            recover_solution(v, reg, pair, 10.0, 1.0, FlatLayout(2))
         assert e.value.required_p > reg.p_values[-1]
 
     def test_lsq_mode_matches_single_when_exact(self):
@@ -354,11 +360,11 @@ class TestRecovery:
         pair = hermitian_split(a)
         reg = PRegister(n_a=2)
         u0 = rng.standard_normal(6)
-        lift = initial_lifted_state(u0, reg)
-        v = evolve_lifted_exact(pair, reg, lift.values, 0.8)
-        r1 = recover_solution(v, reg, pair, 0.8, norm=lift.norm, mode="single")
-        r2 = recover_solution(v, reg, pair, 0.8, norm=lift.norm, mode="lsq")
-        assert np.linalg.norm(r1 - r2) < 1e-9
+        runner = LiftedExactRunner(pair, flat_state(u0), reg, 0.8)
+        runner.advance(1)
+        r1 = runner.recover(mode="single")
+        r2 = runner.recover(mode="lsq")
+        assert np.linalg.norm(r1.values - r2.values) < 1e-9
 
     def test_recovery_bound_uses_positive_part(self):
         pair = hermitian_split(-3.0 * np.eye(4))
@@ -370,7 +376,7 @@ class TestRecovery:
         reg = PRegister(n_a=1)
         layout = FieldLayout(spec)
         u0 = pack_initial_condition(spec, [(Component.EZ, 1, 1, 0, 1.0)])
-        lift = initial_lifted_state(u0, reg)
-        rec = recover_solution(lift.values, reg, pair, 0.0, norm=lift.norm, layout=layout)
-        assert rec.time == 0.0
+        runner = LiftedRunner(pair, u0, reg, 0.1)
+        rec = recover_solution(runner.psi, reg, pair, 0.0, runner.norm, layout)
+        assert rec.layout is layout and rec.time == 0.0
         assert abs(rec.at(Component.EZ, 1, 1) - 1.0) < 1e-10

@@ -11,7 +11,7 @@ from qmaxwell.grid import (
     GridSpec,
     pack_initial_condition,
 )
-from qmaxwell.lifting import LiftedExactRunner, PRegister
+from qmaxwell.lifting import LiftedExactRunner, PRegister, hermitian_split
 from qmaxwell.measure import (
     MagnitudeEstimate,
     ProbeRequest,
@@ -251,7 +251,8 @@ class TestRunnerReadout:
         u0 = impulse_state(spec, n // 2, n // 2)
         c, t = 1.5, 1.0
         runner = LiftedExactRunner(
-            a, apply_offset(u0, Component.EZ, c), PRegister(n_a=1), 0.5, symmetrizing_weights(spec)
+            hermitian_split(a, symmetrizing_weights(spec)), apply_offset(u0, Component.EZ, c),
+            PRegister(n_a=1), 0.5,
         )
         runner.advance(2)
         response = exact_evolution(a, unit_offset_state(u0.layout, Component.EZ), t)
@@ -270,7 +271,11 @@ class TestRunnerReadout:
         assert checked == int(layout.active_mask().sum())
         assert worst <= 1e-12
 
-    @pytest.mark.parametrize("make", [LiftedExactRunner, TrotterRunner.from_generator])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda a, *rest: LiftedExactRunner(hermitian_split(a), *rest), TrotterRunner.from_generator],
+        ids=["LiftedExactRunner", "from_generator"],
+    )
     def test_recover_and_readout_share_one_guard(self, make):
         # p* = 0.5 equals the bound 0.5 at t = 0.5 on unweighted 2d-empty 4x4.
         spec = build_scenario("2d-empty", 4, 4).spec

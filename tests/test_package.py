@@ -12,14 +12,38 @@ from qmaxwell.measure import MagnitudeEstimate, SignedReading
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _library_trees():
+    for path in sorted((SRC / "qmaxwell").glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
 def test_no_assert_statements():
     # ``python -O`` strips asserts; invariants raise typed errors instead.
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted((SRC / "qmaxwell").glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
+        f"{name}:{node.lineno}"
+        for name, tree in _library_trees()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_only_cli_main_prints():
+    # The library logs through ``logging``; only ``cli.main`` writes to the terminal.
+    found = []
+    for name, tree in _library_trees():
+        allowed = set()
+        if name == "cli.py":
+            main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+            allowed = {id(n) for n in ast.walk(main)}
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "print"
+            and id(node) not in allowed
+        ]
     assert found == []
 
 

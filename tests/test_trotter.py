@@ -11,10 +11,10 @@ from qmaxwell.circuit import FOURIER, MCRZ, Circuit, apply_gate, simulate
 from qmaxwell.grid import Component, GridSpec, pack_initial_condition
 from qmaxwell.lifting import (
     HermitianPair,
+    LiftedExactRunner,
     PRegister,
     evolve_lifted_exact,
     hermitian_split,
-    initial_lifted_state,
 )
 from qmaxwell.operators import assemble_generator, symmetrizing_weights
 from qmaxwell.scenarios import build_scenario
@@ -308,8 +308,7 @@ class TestEmittedCircuit:
         psi0 = np.zeros(1 << c.n_qubits, dtype=complex)
         psi0[: len(sys_state)] = sys_state
         out = simulate(c, psi0)
-        lifted = initial_lifted_state(u0, reg)
-        assert np.linalg.norm(out - lifted.values) < 1e-12
+        assert np.linalg.norm(out - LiftedExactRunner(pair, u0, reg, dt).psi) < 1e-12
 
     def test_runner_matches_emitted_circuit(self):
         spec = GridSpec(nx=4, ny=4, dim=2)
@@ -351,9 +350,9 @@ class TestEmittedCircuit:
         for dt in (0.1, 0.05, 0.025):
             runner = TrotterRunner.from_generator(a, u0, reg, dt)
             runner.advance(round(t / dt))
-            lifted = initial_lifted_state(u0, reg)
-            ref = evolve_lifted_exact(runner.pair, reg, lifted.values, t)
-            errs[dt] = np.linalg.norm(runner.psi - ref)
+            ref = LiftedExactRunner(runner.pair, u0, reg, t)
+            ref.advance(1)
+            errs[dt] = np.linalg.norm(runner.psi - ref.psi)
         print(f"joint-state trotter errors: {errs}")
         r1 = errs[0.1] / errs[0.05]
         r2 = errs[0.05] / errs[0.025]
