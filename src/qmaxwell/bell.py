@@ -58,7 +58,11 @@ def _entry_dict(h) -> tuple[dict, int]:
     if dim < 1 or dim & (dim - 1):
         raise ValueError(f"dimension {dim} is not a power of two")
     coo = m.tocoo()
-    entries = {(int(r), int(c)): complex(v) for r, c, v in zip(coo.row, coo.col, coo.data) if v != 0}
+    entries = {}
+    for r, c, v in zip(coo.row, coo.col, coo.data):
+        v = complex(v)
+        if v != 0:
+            entries[(int(r), int(c))] = v
     return entries, int(math.log2(dim))
 
 
@@ -80,11 +84,11 @@ def _tensorize_entries(entries: dict, nq: int):
     if common:
         groups[S00] = {k: v for k, v in d00.items() if common.get(k) != v}
         groups[S11] = {k: v for k, v in d11.items() if common.get(k) != v}
-    return [
-        ((tag,) + factors, coeff)
-        for tag, sub in ((ID, common), *groups.items())
-        for factors, coeff in _tensorize_entries(sub, nq - 1)
-    ]
+    out = []
+    for tag, sub in ((ID, common), *groups.items()):
+        for factors, coeff in _tensorize_entries(sub, nq - 1):
+            out.append(((tag,) + factors, coeff))
+    return out
 
 
 def tensorize(h) -> dict[tuple[str, ...], complex]:

@@ -27,7 +27,7 @@ from . import __version__
 from .circuit import gate_stats
 from .errors import ConfigError, GridError, IndeterminateSignError, QmaxwellError, RecoveryInfeasibleError
 from .grid import FieldLayout, FieldState, component_name, pack_initial_condition, qubit_count
-from .lifting import LiftedExactRunner, PRegister, hermitian_split
+from .lifting import RECOVERY_MODES, LiftedExactRunner, PRegister, hermitian_split
 from .measure import (
     ProbeRequest,
     apply_offset,
@@ -43,16 +43,19 @@ from .scenarios import SCENARIO_NAMES, build_scenario
 from .trotter import TrotterRunner, compile_generator, emit_trotter_circuit
 
 # JSON values are untyped, unlike flags: per field, a type check and what it wants.
+# Reals must also be finite, which covers NaN and infinity given as flags.
 _INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
-_REAL = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
+_REAL = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+         "a finite number")
 _FIELD_TYPES = {
     **dict.fromkeys(("nx", "ny", "nz", "steps", "n_a", "probe_every", "shots", "seed"), _INT),
     **dict.fromkeys(("dt", "p_min", "p_max", "offset_c"), _REAL),
     "weighted": (lambda v: isinstance(v, bool), "true or false"),
     "probes": (lambda v: isinstance(v, list), "a list"),
-    "snapshot_times": (lambda v: isinstance(v, list) and all(map(_REAL[0], v)), "a list of numbers"),
-    **dict.fromkeys(("scenario", "backend", "outdir"), (lambda v: isinstance(v, str), "a string")),
-    "recovery_mode": (lambda v: v in ("single", "lsq"), "'single' or 'lsq'"),
+    "snapshot_times": (lambda v: isinstance(v, list) and all(map(_REAL[0], v)), "a list of finite numbers"),
+    **dict.fromkeys(("scenario", "outdir"), (lambda v: isinstance(v, str), "a string")),
+    "backend": (lambda v: isinstance(v, str) and v in BACKENDS, "a known backend"),
+    "recovery_mode": (lambda v: v in RECOVERY_MODES, " or ".join(map(repr, RECOVERY_MODES))),
 }
 
 
@@ -94,18 +97,14 @@ class RunConfig:
             self.built_scenario = build_scenario(self.scenario, self.nx, self.ny, self.nz)
             # Small grids can put the scenario's impulse on a pad slot.
             pack_initial_condition(self.built_scenario.spec, list(self.built_scenario.impulses))
-        except (TypeError, GridError) as e:
+        except GridError as e:
             raise ConfigError(f"bad grid: {e}") from e
-        if self.backend not in BACKENDS:
-            raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
-            raise ConfigError("dt must be positive and finite")
+        if self.dt is not None and self.dt <= 0:
+            raise ConfigError("dt must be positive")
         if self.steps is not None and self.steps < 0:
             raise ConfigError("steps must be nonnegative")
-        if not (math.isfinite(self.offset_c) and self.offset_c > 0):
-            raise ConfigError("offset must be positive and finite")
-        if self.snapshot_times is not None and not all(map(math.isfinite, self.snapshot_times)):
-            raise ConfigError("snapshot times must be finite")
+        if self.offset_c <= 0:
+            raise ConfigError("offset must be positive")
         if self.probe_every < 1:
             raise ConfigError("probe_every must be at least 1")
         if self.shots is not None and self.shots < 1:
@@ -115,7 +114,7 @@ class RunConfig:
             if n_joint > DIMENSION_CAP.bit_length() - 1:
                 raise ValueError(f"{n_joint} joint qubits exceed the cap of {DIMENSION_CAP} amplitudes")
             self.register = PRegister(self.n_a, self.p_min, self.p_max)
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise ConfigError(f"bad auxiliary register: {e}") from e
         return self
 
@@ -390,8 +389,11 @@ def execute_compare(dir_a: str, dir_b: str, outdir: str | None) -> dict:
         ma, mb = (json.loads((p / "manifest.json").read_text()) for p in (pa, pb))
     except (OSError, ValueError) as e:
         raise ConfigError(f"cannot read manifests: {e}") from e
-    if not all(isinstance(m, dict) and {"scenario", "grid", "artifacts"} <= m.keys() for m in (ma, mb)):
-        raise ConfigError("each manifest must be an object with scenario, grid and artifacts")
+    for m in (ma, mb):
+        if not (isinstance(m, dict) and {"scenario", "grid", "artifacts"} <= m.keys()):
+            raise ConfigError("each manifest must be an object with scenario, grid and artifacts")
+        if not (isinstance(m["artifacts"], list) and all(isinstance(a, str) for a in m["artifacts"])):
+            raise ConfigError("a manifest's artifacts must be a list of file names")
     if ma["grid"] != mb["grid"] or ma["scenario"] != mb["scenario"]:
         raise ConfigError("runs have mismatching scenario or layout")
     out = Path(outdir) if outdir else pa / "compare"
@@ -447,7 +449,7 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--shots", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--unweighted", action="store_true", help="skip the skew-restoring similarity scaling")
-    p.add_argument("--recovery-mode", dest="recovery_mode", choices=("single", "lsq"))
+    p.add_argument("--recovery-mode", dest="recovery_mode", choices=RECOVERY_MODES)
 
 
 def _config_from_args(args) -> RunConfig:

@@ -57,8 +57,6 @@ def hermitian_split(a, weights: np.ndarray | None = None) -> HermitianPair:
     rounding.
     """
     m = as_csr(a if weights is None else apply_weights(a, weights))
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("generator must be square")
     mt = m.T.tocsr()
     h1 = ((m + mt) * 0.5).tocsr()
     h2 = ((m - mt) * (-0.5j)).tocsr()
@@ -141,8 +139,6 @@ def evolve_lifted_exact(pair: HermitianPair, reg: PRegister, v0: np.ndarray, t: 
     """
     v0 = np.asarray(v0, dtype=complex)
     d = pair.dim
-    if v0.size != reg.n_points * d:
-        raise ValueError(f"lifted state length {v0.size} != {reg.n_points} x {d}")
     branches = np.fft.ifft(v0.reshape(reg.n_points, d), axis=0)
     for k, xi in enumerate(reg.xi_values):
         gen = lifted_hamiltonian(pair, float(xi))
@@ -217,7 +213,9 @@ class LiftedRunner:
 
     def recover(self, mode: str = "single") -> FieldState:
         """Physical field at the current time."""
-        return recover_solution(self.psi, self.reg, self.pair, self.time, self.norm, self.layout, mode)
+        return recover_solution(
+            self.psi, self.reg, self.pair, self.time, self.norm, self.layout, mode
+        )
 
     def readout(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``p*`` slice of ``psi`` and each sample's physical scale ``e^{p*} * norm / w``."""
@@ -233,6 +231,9 @@ class LiftedExactRunner(LiftedRunner):
         if steps:
             self.psi = evolve_lifted_exact(self.pair, self.reg, self.psi, steps * self.dt)
         self.steps_done += steps
+
+
+RECOVERY_MODES = ("single", "lsq")
 
 
 def recover_solution(

@@ -221,12 +221,17 @@ class TestCompare:
         assert all(v["l2"] == 0.0 for v in report["snapshots"].values())
         assert report["probes"]["linf"] == 0.0
 
-    @pytest.mark.parametrize("text", ["{not json", "{}", "[1]"], ids=["unreadable", "no-keys", "not-object"])
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", "{}", "[1]", {"artifacts": 5}, {"artifacts": [5]}],
+        ids=["unreadable", "no-keys", "not-object", "artifacts-not-list", "artifacts-not-names"],
+    )
     def test_malformed_manifest_exit_two(self, tmp_path, text):
-        execute_run(small_run_config(tmp_path, outdir=str(tmp_path / "a"), steps=0, probes=[]))
+        """A dict ``text`` overrides keys of a good manifest with the same scenario and grid."""
+        good = execute_run(small_run_config(tmp_path, outdir=str(tmp_path / "a"), steps=0, probes=[]))
         bad = tmp_path / "b"
         bad.mkdir()
-        (bad / "manifest.json").write_text(text)
+        (bad / "manifest.json").write_text(text if isinstance(text, str) else json.dumps({**good, **text}))
         report = tmp_path / "cmp"
         for pair in ((tmp_path / "a", bad), (bad, tmp_path / "a")):
             assert main(["compare", *map(str, pair), "--outdir", str(report)]) == 2
@@ -367,6 +372,7 @@ class TestMain:
             (scatterer, {"p_min": "-1"}),
             (scatterer, {"offset_c": False}),
             (scatterer, {"backend": ["circuit"]}),
+            (scatterer, {"backend": "foo"}),
             (scatterer, {"probes": "Ez:1:1"}),
             (scatterer, {"probes": [5]}),
             (scatterer, {"snapshot_times": 1.0}),
