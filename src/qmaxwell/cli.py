@@ -25,13 +25,12 @@ import scipy
 
 from . import __version__
 from .circuit import gate_stats
-from .errors import ConfigError, GridError, IndeterminateSignError, QmaxwellError, RecoveryInfeasibleError
+from .errors import ConfigError, GridError, QmaxwellError, RecoveryInfeasibleError
 from .grid import FieldLayout, FieldState, component_name, pack_initial_condition, qubit_count
 from .lifting import RECOVERY_MODES, LiftedExactRunner, PRegister, hermitian_split
 from .measure import (
     ProbeRequest,
     apply_offset,
-    magnitude_at,
     pipeline_state,
     remove_offset,
     signed_field_at,
@@ -40,7 +39,7 @@ from .measure import (
 from .operators import assemble_generator, skew_defect, symmetrizing_weights
 from .oracle import DIMENSION_CAP, OracleRunner, grid_step, snapshot, trotter_error_table
 from .scenarios import SCENARIO_NAMES, build_scenario
-from .trotter import TrotterRunner, compile_generator, emit_trotter_circuit
+from .trotter import TrotterRunner, emit_trotter_circuit
 
 # JSON values are untyped, unlike flags: per field, a type check and what it wants.
 # Reals must also be finite, which covers NaN and infinity given as flags.
@@ -208,13 +207,8 @@ class _ProbeWriter:
     def signed(self, time, pipe, shots, rng):
         """Rows measured on a statevector; an indeterminate sign gives value=nan, sign=0."""
         for p in self.probes:
-            try:
-                r = signed_field_at(p, pipe, shots, rng)
-                self.row(time, p, r.value, r.magnitude, r.sign, r.shots_used)
-            except IndeterminateSignError:
-                flat = pipe.layout.flat_index(p.component, p.i, p.j, p.k)
-                est = magnitude_at(pipe.amps, flat, pipe.scales[flat], shots, rng)
-                self.row(time, p, float("nan"), est.value, 0, est.shots_used)
+            r = signed_field_at(p, pipe, shots, rng)
+            self.row(time, p, r.value, r.magnitude, r.sign, r.shots_used)
 
 
 def _resolve_outdir(config: RunConfig) -> Path:
@@ -255,10 +249,8 @@ def _circuit_backend(config, scenario, a, u0, dt, probes, manifest):
     runner = TrotterRunner.from_generator(
         a, sim_u0, config.register, dt, _weights(config, scenario)
     )
-    manifest["blocks_per_step"] = {
-        "skew_part": len(runner.h2_blocks),
-        "symmetric_part": len(runner.h1_blocks),
-    }
+    h1_blocks, h2_blocks = runner.pair.blocks
+    manifest["blocks_per_step"] = {"skew_part": len(h2_blocks), "symmetric_part": len(h1_blocks)}
     manifest["gate_stats_per_step"] = gate_stats(runner.step_circuit)
     recover = partial(runner.recover, config.recovery_mode)
     if not probes:
@@ -366,10 +358,8 @@ def execute_stats(config: RunConfig) -> dict:
     scenario = config.built_scenario
     dt = config.dt if config.dt is not None else scenario.dt
     steps = config.steps if config.steps is not None else scenario.steps
-    _, h1_blocks, h2_blocks = compile_generator(
-        assemble_generator(scenario.spec), _weights(config, scenario)
-    )
-    c = emit_trotter_circuit(h1_blocks, h2_blocks, config.register, steps, dt)
+    pair = hermitian_split(assemble_generator(scenario.spec), _weights(config, scenario))
+    c = emit_trotter_circuit(pair, config.register, steps, dt)
     stats = gate_stats(c)
     stats["steps"] = steps
     stats["n_qubits"] = c.n_qubits

@@ -11,19 +11,23 @@ The ``p`` grid is uniform and cell-centered on ``[p_min, p_max)`` so that the
 default symmetric window samples ``e^{-|p|}`` evenly and always contains a
 strictly positive point.
 
-The lift lives in one place, :class:`LiftedRunner`: it builds the joint state
-and reads the field back (``recover_solution``); subclasses only advance it.
+The compiled generator is a :class:`HermitianPair`, which carries its Bell
+blocks.  The lift lives in one place, :class:`LiftedRunner`: it builds the joint
+state from a pair and reads the field back; subclasses only advance it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
+from .bell import BellBlock, compile_blocks, order_blocks
 from .errors import HermiticityError, RecoveryInfeasibleError
 from .grid import FieldLayout, FieldState
 from .operators import apply_weights, as_csr
@@ -35,7 +39,7 @@ class HermitianPair:
 
     ``weights`` is the diagonal of the similarity scaling ``D`` that the
     split was taken under (all ones when unscaled): the frame that lifting
-    enters and recovery leaves.
+    enters and recovery leaves.  Its :attr:`blocks` serve every step size.
     """
 
     h1: sp.csr_matrix
@@ -45,6 +49,11 @@ class HermitianPair:
     @property
     def dim(self) -> int:
         return self.h1.shape[0]
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[BellBlock, ...], tuple[BellBlock, ...]]:
+        """The ``h1`` and ``h2`` Bell blocks in compile order, compiled on first use and kept."""
+        return order_blocks(compile_blocks(self.h1)), order_blocks(compile_blocks(self.h2))
 
 
 def hermitian_split(a, weights: np.ndarray | None = None) -> HermitianPair:
@@ -100,6 +109,8 @@ class PRegister:
             raise ValueError("p_max must exceed p_min")
         if self.p_star <= 0:
             raise ValueError("auxiliary grid must contain a positive point")
+        if self.p_star > math.log(sys.float_info.max):
+            raise ValueError(f"recovery point {self.p_star:.6g} overflows its rescaling e^p*")
 
     @property
     def n_points(self) -> int:

@@ -56,7 +56,7 @@ class SignedReading:
     shots_used: int | str
 
     def __post_init__(self):
-        if not self.magnitude >= 0:
+        if self.magnitude < 0:  # nan: an indeterminate reading whose magnitude is unknown
             raise QmaxwellError(f"reading magnitude {self.magnitude} is negative")
 
 
@@ -181,8 +181,8 @@ def relative_sign(
 
     Compares estimators of the squared sum and squared difference of the two
     magnitudes; whichever dominates decides the sign.  A relative phase other
-    than 0 or pi, a tie (exact mode) or a gap below three combined standard
-    errors (shot mode) is indeterminate.
+    than 0 or pi, a tie (exact mode), no interference counts or a gap below
+    three combined standard errors (shot mode) is indeterminate.
     """
     ar, at = _aligned_amplitudes(psi, ref_index, target_index, phase_tol)
     e_plus = (ar + at) ** 2 / 2.0
@@ -196,7 +196,7 @@ def relative_sign(
     rng = rng or np.random.default_rng()
     rest = max(1.0 - e_plus - e_minus, 0.0)
     n_plus, n_minus, _ = rng.multinomial(shots, [e_plus, e_minus, rest])
-    if abs(int(n_plus) - int(n_minus)) < 3.0 * math.sqrt(n_plus + n_minus):
+    if n_plus + n_minus == 0 or abs(int(n_plus) - int(n_minus)) < 3.0 * math.sqrt(n_plus + n_minus):
         raise IndeterminateSignError(
             f"sign gap below the shot-noise floor ({n_plus} vs {n_minus} "
             f"of {shots})",
@@ -245,6 +245,9 @@ def signed_field_at(
     the target sign is taken relative to it.  In exact mode a target
     amplitude at or below rounding of the reference amplitude (``eps`` times
     its modulus, exact zero included) reads as zero: its phase is noise.
+    An indeterminate sign gives value nan and sign 0, with the magnitude of
+    the same draw where the probe carries no offset correction and nan
+    where it does.
     """
     layout = pipe.layout
     flat_t = layout.flat_index(request.component, request.i, request.j, request.k)
@@ -252,17 +255,20 @@ def signed_field_at(
         pipe.reference.component, pipe.reference.i, pipe.reference.j, pipe.reference.k
     )
     est = magnitude_at(pipe.amps, flat_t, pipe.scales[flat_t], shots, rng)
+    correction = pipe.offset_c * pipe.offset_response.at(
+        request.component, request.i, request.j, request.k
+    )
     if request == pipe.reference:
         sign = 1
     elif shots is None and abs(pipe.amps[flat_t]) <= _EPS * abs(pipe.amps[flat_r]):
         sign = 1  # zero to rounding: sign is immaterial
     else:
-        sign = relative_sign(pipe.amps, flat_r, flat_t, shots, rng)
-    raw = sign * est.value
-    correction = pipe.offset_c * pipe.offset_response.at(
-        request.component, request.i, request.j, request.k
-    )
-    value = raw - correction
+        try:
+            sign = relative_sign(pipe.amps, flat_r, flat_t, shots, rng)
+        except IndeterminateSignError:
+            magnitude = est.value if correction == 0 else math.nan
+            return SignedReading(magnitude, 0, math.nan, est.shots_used)
+    value = sign * est.value - correction
     return SignedReading(
         magnitude=abs(value),
         sign=1 if value >= 0 else -1,

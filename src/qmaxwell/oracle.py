@@ -19,9 +19,9 @@ from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConfigError
 from .grid import Component, FieldState
-from .lifting import PRegister
+from .lifting import PRegister, hermitian_split
 from .operators import as_csr
-from .trotter import TrotterRunner, compile_generator
+from .trotter import TrotterRunner
 
 log = logging.getLogger(__name__)
 
@@ -156,10 +156,10 @@ def trotter_error_table(
     times = sorted(times)
     steps = [[grid_step(t, dt) for t in times] for dt in dts]
     references = [exact_evolution(a, u0, t) for t in times]
-    pair, h1_blocks, h2_blocks = compile_generator(a, weights)
+    pair = hermitian_split(a, weights)
     rows = []
     for dt, dt_steps in zip(dts, steps):
-        runner = TrotterRunner(pair, h1_blocks, h2_blocks, u0, reg, dt)
+        runner = TrotterRunner(pair, u0, reg, dt)
         for t_target, s, reference in zip(times, dt_steps, references):
             runner.advance(s - runner.steps_done)
             recovered = runner.recover(mode=recovery_mode)

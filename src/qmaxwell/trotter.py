@@ -1,8 +1,8 @@
 """First-order product circuits for the lifted dynamics, plus a step runner.
 
-``TrotterRunner`` is a :class:`~qmaxwell.lifting.LiftedRunner`: the base owns
-the lifted state, the clock, recovery and probe readout, and the runner only
-advances the state: one ``simulate`` call of its step circuit per step.
+``TrotterRunner`` and :func:`emit_trotter_circuit` take a ``HermitianPair``,
+whose blocks serve every step size.  The runner is a ``LiftedRunner``: the base
+owns the lifted state, clock, recovery and readout; it simulates one step circuit.
 
 One step applies every block of the skew part, then conjugates the symmetric
 part's blocks by the auxiliary Fourier transform.  In frequency space the
@@ -17,10 +17,11 @@ between blocks.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
-from .bell import BellBlock, compile_blocks
+from .bell import BellBlock
 from .circuit import (
     CNOT,
     FOURIER,
@@ -36,31 +37,6 @@ from .circuit import (
 )
 from .grid import FieldState
 from .lifting import HermitianPair, LiftedRunner, PRegister, hermitian_split
-
-# Fixed shuffle seed for the canonical block order: a decohered order keeps
-# same-axis splitting errors from accumulating coherently (2-3x smaller
-# constants than grouped orders at the same step count; scaling unchanged).
-BLOCK_ORDER_SEED = 23
-
-
-def order_blocks(blocks: list[BellBlock]) -> list[BellBlock]:
-    """Deterministic compile order: the blocks shuffled with ``BLOCK_ORDER_SEED``."""
-    out = list(blocks)
-    np.random.default_rng(BLOCK_ORDER_SEED).shuffle(out)
-    return out
-
-
-def compile_generator(
-    a, weights: np.ndarray | None = None
-) -> tuple[HermitianPair, list[BellBlock], list[BellBlock]]:
-    """Hermitian split of ``A`` (of ``D A D^-1`` with ``D = diag(weights)``) and its ordered blocks.
-
-    Returns the pair, which records ``weights``, and the ``h1`` and ``h2``
-    block lists.  Nothing here depends on the step size, so one compiled
-    generator serves every ``dt`` (``step_gates`` applies it).
-    """
-    pair = hermitian_split(a, weights)
-    return pair, order_blocks(compile_blocks(pair.h1)), order_blocks(compile_blocks(pair.h2))
 
 
 def _o_transform_gates(block: BellBlock) -> list[Gate]:
@@ -120,8 +96,8 @@ def xi_bit_scales(reg: PRegister) -> list[float]:
 
 
 def step_gates(
-    h1_blocks: list[BellBlock],
-    h2_blocks: list[BellBlock],
+    h1_blocks: Sequence[BellBlock],
+    h2_blocks: Sequence[BellBlock],
     reg: PRegister,
     n_sys: int,
     dt: float,
@@ -195,29 +171,15 @@ def ancilla_prep_gates(reg: PRegister, n_sys: int) -> list[Gate]:
     return amplitude_prep_gates(amps, n_sys)
 
 
-def emit_trotter_circuit(
-    blocks_h1: list[BellBlock],
-    blocks_h2: list[BellBlock],
-    reg: PRegister,
-    steps: int,
-    dt: float,
-    n_sys: int | None = None,
-) -> Circuit:
+def emit_trotter_circuit(pair: HermitianPair, reg: PRegister, steps: int, dt: float) -> Circuit:
     """Full circuit: auxiliary profile prep, then ``steps`` product steps of size ``dt``.
 
     With ``steps=0`` the circuit only prepares the lifted initial state
     (applied to the system register's own initial state on the low qubits).
     """
-    if n_sys is None:
-        sizes = [b.n for b in blocks_h1 + blocks_h2]
-        if not sizes:
-            raise ValueError("pass n_sys explicitly when there are no blocks")
-        n_sys = sizes[0]
-    for b in blocks_h1 + blocks_h2:
-        if b.n != n_sys:
-            raise ValueError("blocks compiled for mismatching register sizes")
+    n_sys = int(math.log2(pair.dim))
     gates = ancilla_prep_gates(reg, n_sys)
-    step = step_gates(blocks_h1, blocks_h2, reg, n_sys, dt)
+    step = step_gates(*pair.blocks, reg, n_sys, dt)
     for _ in range(steps):
         gates.extend(step)
     return Circuit(n_sys + reg.n_a, tuple(gates))
@@ -232,35 +194,23 @@ class TrotterRunner(LiftedRunner):
     first ``simulate`` call (see ``Circuit.bound``).
     """
 
-    def __init__(
-        self,
-        pair: HermitianPair,
-        h1_blocks: list[BellBlock],
-        h2_blocks: list[BellBlock],
-        u0: FieldState,
-        reg: PRegister,
-        dt: float,
-    ):
+    def __init__(self, pair: HermitianPair, u0: FieldState, reg: PRegister, dt: float):
         super().__init__(pair, u0, reg, dt)
-        self.h1_blocks, self.h2_blocks = h1_blocks, h2_blocks
         n_sys = int(math.log2(pair.dim))
-        self.step_circuit = Circuit(
-            n_sys + reg.n_a, tuple(step_gates(h1_blocks, h2_blocks, reg, n_sys, dt))
-        )
+        self.step_circuit = Circuit(n_sys + reg.n_a, tuple(step_gates(*pair.blocks, reg, n_sys, dt)))
 
     @staticmethod
     def from_generator(
         a, u0: FieldState, reg: PRegister, dt: float, weights: np.ndarray | None = None
     ) -> "TrotterRunner":
-        """Compile a generator and initial state into a step runner.
+        """Split a generator and compile it, with an initial state, into a step runner.
 
         With ``weights`` the evolution runs in similarity-transformed
         variables ``D u`` under ``D A D^-1`` (used to restore exact skew
         symmetry at PMC walls); recovery maps back, so results are in the
         original variables either way.
         """
-        pair, h1_blocks, h2_blocks = compile_generator(a, weights)
-        return TrotterRunner(pair, h1_blocks, h2_blocks, u0, reg, dt)
+        return TrotterRunner(hermitian_split(a, weights), u0, reg, dt)
 
     def advance(self, steps: int) -> None:
         for _ in range(steps):

@@ -324,17 +324,13 @@ def test_criterion_08_gate_count_scaling():
     tail = [ratios[n] for n in range(8, 13)]
     stable_ok = max(tail) / min(tail) < 1.25
 
-    from qmaxwell.trotter import emit_trotter_circuit, order_blocks
+    from qmaxwell.trotter import emit_trotter_circuit
 
     spec = GridSpec(nx=16, ny=16, dim=2)
     aw = apply_weights(assemble_generator(spec), symmetrizing_weights(spec))
     pair = hermitian_split(aw)
     dt = 0.1
-    circ = emit_trotter_circuit(
-        order_blocks(compile_blocks(pair.h1)),
-        order_blocks(compile_blocks(pair.h2)),
-        PRegister(n_a=1), 100, dt,
-    )
+    circ = emit_trotter_circuit(pair, PRegister(n_a=1), 100, dt)
     stats = gate_stats(circ)
     in_band = 1e4 <= stats["abstract_depth"] <= 1.6e5
     lowered_in_band = 1e4 <= stats["depth"] <= 1.6e5

@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -338,6 +339,8 @@ class TestMain:
             (scatterer + ["--shots", "-3", "--probes", "Ez:5:5"], None),
             (scatterer + ["--p-min", "1", "--p-max", "0"], None),
             (scatterer + ["--p-max", "-1"], None),
+            (empty + ["--nx", "4", "--p-min", "-2000", "--p-max", "2000"], None),
+            (empty + ["--nx", "4", "--p-min", "700", "--p-max", "800", "--probes", "Ez:2:2"], None),
             (scatterer, [1, 2]),
             (scatterer, {"dt": "0.1"}),
             (scatterer, {"n_a": 2.5}),
@@ -426,4 +429,118 @@ class TestMain:
         undecided = [r for r in rows if r["sign"] == "0"]
         assert sorted({round(float(r["time"]), 9) for r in undecided}) == [0.2, 0.3]
         assert len(undecided) == 8 and all(r["value"] == "nan" for r in undecided)
+        # The offset shifts every E_z sample, so their magnitude is unknown too.
+        assert all(r["magnitude"] == "nan" for r in undecided if r["component"] == "Ez")
         assert max(float(r["time"]) for r in rows) < 0.35
+
+
+_SCATTERER = ["--scenario", "2d-scatterer", "--nx", "8", "--steps", "4", "--snapshot-times", "0.4"]
+_PROBES = ["--probes", "Ez:1:1", "Hx:5:2", "Hy:1:6"]
+# In-process CLI calls whose artifacts are pinned; none writes a sign-0 probe row.
+_PINNED_RUNS = {
+    "circuit": ["run", *_SCATTERER, *_PROBES],
+    "circuit-na3-unweighted": [
+        "run", *_SCATTERER, *_PROBES, "--n-a", "3", "--unweighted", "--p-min", "-4", "--p-max", "4",
+    ],
+    "lifted-exact-lsq": ["run", *_SCATTERER, "--backend", "lifted-exact", "--unweighted", "--recovery-mode", "lsq"],
+    "oracle": ["run", *_SCATTERER, *_PROBES, "--backend", "oracle"],
+    "3d-empty": [
+        "run", "--scenario", "3d-empty", "--nx", "4", "--steps", "2",
+        "--probes", "Ez:2:2:2", "Hx:1:2:2", "--snapshot-times", "0", "0.2",
+    ],
+    "stats": ["stats", "--scenario", "2d-empty", "--nx", "4", "--steps", "2"],
+    "table": ["table", "--scenario", "2d-empty", "--nx", "8", "--dts", "0.1", "0.05", "--times", "0.2", "0.4"],
+}
+# sha256 of every artifact of each run; the manifest's echoed outdir reads "OUT".
+_ARTIFACT_DIGESTS = {
+    "circuit": {
+        "Ez_T0.4.csv": "d4e82df1baf9b6b4f400b64ea8026d035c56bc47a4132fbce4745e865ffe3493",
+        "Hx_T0.4.csv": "5e2600be7ed35a4850f8a0a272499cc7a61412180271626c8dc94f55be3fda8c",
+        "Hy_T0.4.csv": "90eab4e79cf12800354fda3385a563d22bd3083a8f0ba34481bf2759b57de479",
+        "manifest.json": "bb4b98873dec1b2891b195830cb5b4b4eeed8c066b693a2e294bb9ddeef47161",
+        "probes.csv": "804cdef357dc815a39d976c24e5533afbe6fd45630ed6aeca44e066faad88bd6",
+    },
+    "circuit-na3-unweighted": {
+        "Ez_T0.4.csv": "159f4c59e0a48c2769b63b19fada0c0f668585748a3ec8acbec1b58acff01c5e",
+        "Hx_T0.4.csv": "6ca2e3c314dd74ec102295c36694c5369809e9e5e551f00a97ad55a7fd341848",
+        "Hy_T0.4.csv": "710c83fc2d01f937997027bddff0989465d6418f2cd0cf891f435535ff0cac62",
+        "manifest.json": "176ed175e2bcd904a40137d712f9b7a4811938795d4ec65ce00ac8e148ae5543",
+        "probes.csv": "0fdc6a32ca8c88ba0682e02b78a0e4d3fa5b500300f2d69d9b3dd083814edaad",
+    },
+    "lifted-exact-lsq": {
+        "Ez_T0.4.csv": "65853ebaf8a847cdcb06dd10128fa2e2a48f1b3b979f7d547402f03a1ff8320d",
+        "Hx_T0.4.csv": "27d009cfb866f042a05a5d9ab8eb7c8d7e479621f78c77fcfd740709043b4213",
+        "Hy_T0.4.csv": "5bfdb89ed5dcfea60b84dcb60befbe55fbaae84584e8d3f539f1994f199c9ff5",
+        "manifest.json": "dfbba234cc4545e3fad769b57c3cfbe80d3751b9e9e1aa6f93803fd4c858ef0c",
+    },
+    "oracle": {
+        "Ez_T0.4.csv": "3d4eff7997c5c4cdb2b5c0164ca1e648bf78479b2050521618504c8b02b1f980",
+        "Hx_T0.4.csv": "944349f6631c6b2dd42f02f522409cd9d728ce0e93fec585ad11c56e17bf5ae7",
+        "Hy_T0.4.csv": "5bbf46c241af6a4ad3bd9838624e52b23af4d5e3c6d5f2599ae0c43218736531",
+        "manifest.json": "94098d3f8934604c75b67c62ac3618d3d9527464ac799f9babbd9b565f1b1671",
+        "probes.csv": "2e6f656f5e7457c4bb785cb887386e8996d2fb26d8d7e97f012c9672edcb2441",
+    },
+    "3d-empty": {
+        "Ex_T0.2_xy2.csv": "48ad3c68ca05f08c8b1eddf6c1a42e60431dc774eb833655bc2265d3066051f1",
+        "Ex_T0.2_xz2.csv": "62433db8ca9373801c157a9eab2b9eda8aaaee035e2b79db954a1b99c4b9b74f",
+        "Ex_T0.2_yz2.csv": "c10cf936f9216684598d5fd5a20ea81006fbb9add9f6e4ad9497d736f2571ac7",
+        "Ex_T0_xy2.csv": "8576d9531c815f73f7c9db26bfee67160107aee964c3ed683a4eecf05a2d1a47",
+        "Ex_T0_xz2.csv": "8576d9531c815f73f7c9db26bfee67160107aee964c3ed683a4eecf05a2d1a47",
+        "Ex_T0_yz2.csv": "8576d9531c815f73f7c9db26bfee67160107aee964c3ed683a4eecf05a2d1a47",
+        "Ey_T0.2_xy2.csv": "e7ad76fbefe6af1c40434a7ecedd220a3e6e2f6a816bf8fe45bbfdf496f9983b",
+        "Ey_T0.2_xz2.csv": "e82090d4e8f13d4506c36045ee326e5c0c0e8e35422b60b011dc0762fd8023f7",
+        "Ey_T0.2_yz2.csv": "9c0b77d16e198d85f20e21d1d78ed8c53f2ff866dde1ce31dc0703ba52071450",
+        "Ey_T0_xy2.csv": "8576d9531c815f73f7c9db26bfee67160107aee964c3ed683a4eecf05a2d1a47",
+        "Ey_T0_xz2.csv": "8576d9531c815f73f7c9db26bfee67160107aee964c3ed683a4eecf05a2d1a47",
+        "Ey_T0_yz2.csv": "8576d9531c815f73f7c9db26bfee67160107aee964c3ed683a4eecf05a2d1a47",
+        "Ez_T0.2_xy2.csv": "b677835cc6d3f748afb0b5c8487c5410c89d4d49eb31634c41ca128af9d17da0",
+        "Ez_T0.2_xz2.csv": "c77a6d052d45a02062516a64c2f9c907d1ae61caa22860bfa65b45a90f6521e4",
+        "Ez_T0.2_yz2.csv": "83c3fb8d13484b54256cf8dee690e00c09c056392ec3da47e4568c345531b869",
+        "Ez_T0_xy2.csv": "6e01479e31ed36d56ecdf2b7d6348bd0ba8060efd3c7efb119930e254c13ab16",
+        "Ez_T0_xz2.csv": "7e45cba6f11229c1e7ddcb90744974e5a93f62e2b0f5b799c0510e3bc0cdeddc",
+        "Ez_T0_yz2.csv": "7e45cba6f11229c1e7ddcb90744974e5a93f62e2b0f5b799c0510e3bc0cdeddc",
+        "Hx_T0.2_xy2.csv": "4231b486da9146080347cd347e4a5fb2acc19256b093b1565df307aa9b244b9c",
+        "Hx_T0.2_xz2.csv": "b9a665b82ab2d86741f3d92e2b61513e7d866afcf76f36cce90e3e972e7b40cb",
+        "Hx_T0.2_yz2.csv": "fd7b9f1cb96b7888137b45d3f2b4c8fd7347350b415b8ebffd296101a98c362d",
+        "Hx_T0_xy2.csv": "8576d9531c815f73f7c9db26bfee67160107aee964c3ed683a4eecf05a2d1a47",
+        "Hx_T0_xz2.csv": "8576d9531c815f73f7c9db26bfee67160107aee964c3ed683a4eecf05a2d1a47",
+        "Hx_T0_yz2.csv": "8576d9531c815f73f7c9db26bfee67160107aee964c3ed683a4eecf05a2d1a47",
+        "Hy_T0.2_xy2.csv": "e91063a30dba5d7a8d1877bcf4b2c430e1de619886e1c4b7a074e863ec6e6d82",
+        "Hy_T0.2_xz2.csv": "b327e9336e166349dabc141abd301d436c3f2283830c8952825c31a37ecc54ca",
+        "Hy_T0.2_yz2.csv": "b62ec8e4e5a4ee995df28d6a49fd11752d3f17e13f0504b0b4e49bc02d1b0b0a",
+        "Hy_T0_xy2.csv": "8576d9531c815f73f7c9db26bfee67160107aee964c3ed683a4eecf05a2d1a47",
+        "Hy_T0_xz2.csv": "8576d9531c815f73f7c9db26bfee67160107aee964c3ed683a4eecf05a2d1a47",
+        "Hy_T0_yz2.csv": "8576d9531c815f73f7c9db26bfee67160107aee964c3ed683a4eecf05a2d1a47",
+        "Hz_T0.2_xy2.csv": "fa60aecfb85460abf15cda60e98ea49d98e2315c4b3d5c0d6902e9ad72fdf2e1",
+        "Hz_T0.2_xz2.csv": "2e50c7cb788c4a70a0cc3229a6cef3dcc8b077fbfa2356accb251788f99d2096",
+        "Hz_T0.2_yz2.csv": "7d1a532dfbf0a5b0ad1b579d93786f1ac8669ad026fedae1d70f793d9e6e117e",
+        "Hz_T0_xy2.csv": "8576d9531c815f73f7c9db26bfee67160107aee964c3ed683a4eecf05a2d1a47",
+        "Hz_T0_xz2.csv": "8576d9531c815f73f7c9db26bfee67160107aee964c3ed683a4eecf05a2d1a47",
+        "Hz_T0_yz2.csv": "8576d9531c815f73f7c9db26bfee67160107aee964c3ed683a4eecf05a2d1a47",
+        "manifest.json": "eae13c4c214583b95d3408356623e14b97a1bbb9b5cd4f3a5cb5c71fbdcf45df",
+        "probes.csv": "6b0f085e814d829683272b606baf9f8de6d877258126c29974fe5fd101813d5d",
+    },
+    "stats": {
+        "gate_stats.json": "c5446c212d1f44cbb854a8748ba055d1a41211fe64837f233bfb24d8a73946eb",
+    },
+    "table": {
+        "error_table.csv": "dd2781f310cb0c7c672001b66ed4f76745061f8eb49c4bddb27b5030df4bafea",
+    },
+}
+
+
+@pytest.mark.parametrize("name", _PINNED_RUNS)
+def test_artifact_bytes_pinned(tmp_path, name):
+    out = tmp_path / name
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the default offset equals the certified bound
+        assert main([*_PINNED_RUNS[name], "--outdir", str(out)]) == 0
+    digests = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            manifest["config"]["outdir"] = "OUT"
+            data = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    assert digests == _ARTIFACT_DIGESTS[name]

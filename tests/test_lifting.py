@@ -88,7 +88,9 @@ class TestPRegister:
         assert np.allclose(diffs, diffs[0])
         assert reg.p_values[-1] > 0
         assert reg.p_star == reg.p_values[reg.p_star_index] == reg.p_values.max()
-        for p_min, p_max in ((-4.0, -1.0), (math.nan, 1.0), (-1.0, math.nan), (-math.inf, 1.0), (-1.0, math.inf)):
+        bad = ((-4.0, -1.0), (math.nan, 1.0), (-1.0, math.nan), (-math.inf, 1.0), (-1.0, math.inf),
+               (-2000.0, 2000.0), (700.0, 800.0))  # the last two: e^{p*} overflows
+        for p_min, p_max in bad:
             with pytest.raises(ValueError):
                 PRegister(n_a=1, p_min=p_min, p_max=p_max)
 

@@ -170,6 +170,14 @@ class TestRelativeSign:
         with pytest.raises(IndeterminateSignError):
             relative_sign(psi, 0, 1, shots=256, rng=rng)
 
+    def test_shot_mode_no_interference_counts_indeterminate(self):
+        # Both outcomes draw 0 of 100 shots: no evidence for either sign.
+        psi = np.zeros(4, dtype=complex)
+        psi[:3] = 0.999, 0.01, 0.01
+        psi /= np.linalg.norm(psi)
+        with pytest.raises(IndeterminateSignError):
+            relative_sign(psi, 1, 2, shots=100, rng=np.random.default_rng(0))
+
     def test_shot_mode_decides_clear_gap(self):
         psi = self.make_state(0.6, -0.5)
         rng = np.random.default_rng(1)

@@ -100,16 +100,16 @@ class TestErrorTable:
 
     def test_generator_compiled_once(self, monkeypatch):
         # Blocks hold no step size, so two dts share one compile of h1 and h2.
-        import qmaxwell.trotter as trotter
+        import qmaxwell.lifting as lifting
 
         compiled = []
-        real = trotter.compile_blocks
+        real = lifting.compile_blocks
 
         def counted(h):
             compiled.append(h)
             return real(h)
 
-        monkeypatch.setattr(trotter, "compile_blocks", counted)
+        monkeypatch.setattr(lifting, "compile_blocks", counted)
         spec = GridSpec(nx=4, ny=4, dim=2)
         trotter_error_table(
             assemble_generator(spec), impulse(spec, 2, 2), [0.1, 0.05], [0.5],

@@ -21,7 +21,6 @@ from qmaxwell.scenarios import build_scenario
 from qmaxwell.trotter import (
     TrotterRunner,
     amplitude_prep_gates,
-    compile_generator,
     ancilla_prep_gates,
     emit_trotter_circuit,
     step_gates,
@@ -148,8 +147,8 @@ class TestStepStructure:
     def test_step_gates_pinned(self, name, nx, weighted, n_a, count, digest):
         spec = build_scenario(name, nx=nx).spec
         weights = symmetrizing_weights(spec) if weighted else None
-        pair, h1, h2 = compile_generator(assemble_generator(spec), weights)
-        gates = step_gates(h1, h2, PRegister(n_a), int(math.log2(pair.dim)), 0.1)
+        pair = hermitian_split(assemble_generator(spec), weights)
+        gates = step_gates(*pair.blocks, PRegister(n_a), int(math.log2(pair.dim)), 0.1)
         emitted = repr([
             (g.kind, g.qubits, None if g.angle is None else float(g.angle), g.polarities, g.inverse)
             for g in gates
@@ -161,7 +160,8 @@ class TestStepStructure:
         # Blocks hold no dt: at twice the step every mcrz angle doubles
         # exactly and every other gate is unchanged.
         spec = build_scenario("2d-scatterer", nx=8).spec
-        pair, h1, h2 = compile_generator(assemble_generator(spec), symmetrizing_weights(spec))
+        pair = hermitian_split(assemble_generator(spec), symmetrizing_weights(spec))
+        h1, h2 = pair.blocks
         n_sys, reg, dt = int(math.log2(pair.dim)), PRegister(3), 0.1
         once, twice = step_gates(h1, h2, reg, n_sys, dt), step_gates(h1, h2, reg, n_sys, 2 * dt)
         assert len(once) == len(twice)
@@ -241,9 +241,7 @@ class TestPinnedStates:
         u0 = pack_initial_condition(scenario.spec, scenario.impulses)
         runner = TrotterRunner.from_generator(a, u0, reg, 0.1, w)
         runner.advance(5)
-        pair, h1, h2 = compile_generator(a, w)
-        n_sys = int(math.log2(pair.dim))
-        c = emit_trotter_circuit(h1, h2, reg, 2, 0.1, n_sys)
+        c = emit_trotter_circuit(hermitian_split(a, w), reg, 2, 0.1)
         psi0 = np.zeros(1 << c.n_qubits, dtype=complex)
         psi0[: len(u0.values)] = u0.values / np.linalg.norm(u0.values)
         assert hashlib.sha256(runner.psi.tobytes()).hexdigest() == runner_digest
@@ -302,7 +300,7 @@ class TestEmittedCircuit:
         pair = hermitian_split(a)
         reg = PRegister(n_a=2)
         dt = 0.1
-        c = emit_trotter_circuit(compile_blocks(pair.h1), compile_blocks(pair.h2), reg, 0, dt)
+        c = emit_trotter_circuit(pair, reg, 0, dt)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 1, 0, 1.0)])
         sys_state = u0.values / np.linalg.norm(u0.values)
         psi0 = np.zeros(1 << c.n_qubits, dtype=complex)
@@ -318,8 +316,7 @@ class TestEmittedCircuit:
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
         runner = TrotterRunner.from_generator(a, u0, reg, dt)
         runner.advance(steps)
-        pair = runner.pair
-        c = emit_trotter_circuit(runner.h1_blocks, runner.h2_blocks, reg, steps, dt)
+        c = emit_trotter_circuit(runner.pair, reg, steps, dt)
         sys_state = u0.values / np.linalg.norm(u0.values)
         psi0 = np.zeros(1 << c.n_qubits, dtype=complex)
         psi0[: len(sys_state)] = sys_state
@@ -335,9 +332,28 @@ class TestEmittedCircuit:
         w = symmetrizing_weights(spec)
         u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
         runner = TrotterRunner.from_generator(a, u0, PRegister(n_a=1), 0.1, weights=w)
-        pair, h1_blocks, h2_blocks = compile_generator(a, w)
-        assert h1_blocks == runner.h1_blocks and h2_blocks == runner.h2_blocks
+        pair = hermitian_split(a, w)
+        assert pair.blocks == runner.pair.blocks
         assert (pair.h1 != runner.pair.h1).nnz == 0 and (pair.h2 != runner.pair.h2).nnz == 0
+
+    def test_pair_compiles_its_blocks_once(self, monkeypatch):
+        # Two runners at different dt and an emitted circuit share one compile
+        # of h1 and h2; a lifted-exact runner never compiles.
+        import qmaxwell.lifting as lifting
+
+        compiled = []
+        real = lifting.compile_blocks
+        monkeypatch.setattr(lifting, "compile_blocks", lambda h: compiled.append(h) or real(h))
+        spec = GridSpec(nx=4, ny=4, dim=2)
+        a, reg = assemble_generator(spec), PRegister(n_a=1)
+        u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
+        pair = hermitian_split(a, symmetrizing_weights(spec))
+        TrotterRunner(pair, u0, reg, 0.1)
+        TrotterRunner(pair, u0, reg, 0.05)
+        emit_trotter_circuit(pair, reg, 2, 0.1)
+        assert len(compiled) == 2
+        LiftedExactRunner(hermitian_split(a), u0, reg, 0.1).advance(1)
+        assert len(compiled) == 2
 
     def test_first_order_error_scaling(self):
         # Distance to the exact lifted evolution scales like t*dt.
