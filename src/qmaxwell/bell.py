@@ -11,11 +11,12 @@ boundary and scatterer deviations fall out as a handful of extra strings.
 The strings form a sorted ``{factors: coefficient}`` map in which each
 off-diagonal string of a Hermitian operator meets its adjoint.  One pass
 pairs them: each pair is one :class:`BellBlock`, compiled once per operator
-in :func:`order_blocks` order by ``lifting.HermitianPair.blocks``; its circuit is a
-basis change built from a superposition gate, a fan-out of flips, and
-bit-fixing X gates, conjugating one multi-controlled phase rotation.  The
-block holds no time step; the step size scales the rotation angle only
-where the gates are emitted (``trotter.block_gates``).
+in :func:`order_blocks` order by ``lifting.HermitianPair.blocks``.  A block
+emits its own circuit: a basis change (:meth:`BellBlock.basis_change`) built
+from a superposition gate, a fan-out of flips, and bit-fixing X gates,
+conjugating one multi-controlled phase rotation (:meth:`BellBlock.gates`).
+The block holds no time step; the step size scales the rotation angle only
+where the gates are emitted.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from functools import reduce
 
 import numpy as np
 
+from .circuit import CNOT, MCRZ, PHASE, SUPERPOSE, X, Gate, dagger
 from .errors import HermiticityError
 from .operators import as_csr
 
@@ -116,13 +118,13 @@ class BellBlock:
     ``phase`` are the polar parts of ``c``, so the contribution is
     ``weight * (e^{i phase} T + h.c.)``.
     A block belongs to the operator and holds no time step: a step of size
-    ``dt`` rotates it by ``2 * weight * dt`` (``trotter.block_gates``).
+    ``dt`` rotates it by ``2 * weight * dt`` (:meth:`gates`).
 
     ``factors`` runs most significant qubit first as in :func:`tensorize`,
-    with at least one flip factor; every qubit role derives from it.  Flip
-    qubits carry the basis change, qubits holding projector factors become
-    polarity controls, and identity qubits are untouched.  Qubit indices
-    below count from the least significant qubit (index 0).
+    with at least one flip factor; the block's circuit derives from it.  Flip
+    qubits carry the basis change (:meth:`basis_change`), qubits holding
+    projector factors become polarity controls, and identity qubits are
+    untouched.  Qubit indices count from the least significant qubit (index 0).
     """
 
     coefficient: complex
@@ -144,37 +146,44 @@ class BellBlock:
         t = self.coefficient * reduce(np.kron, (_SIGMA[f] for f in self.factors))
         return t + t.conj().T
 
-    def factor(self, q: int) -> str:
-        """Factor tag acting on qubit ``q``."""
-        return self.factors[self.n - 1 - q]
-
-    def row_bit(self, q: int) -> int:
-        """Row bit of the flip or projector factor on qubit ``q``."""
-        return _ROW_BIT[self.factor(q)]
-
-    @property
-    def flip_qubits(self) -> tuple[int, ...]:
-        return tuple(q for q in range(self.n) if self.factor(q) in (S01, S10))
-
-    @property
-    def target(self) -> int:
-        """The lowest flip qubit, which carries the block's rotation."""
-        return self.flip_qubits[0]
-
-    @property
-    def controls(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Controls of the block's core and their polarities: projector bits, and flip bits off the target."""
-        target = self.target
-        qubits, polarities = [], []
-        for q in range(self.n):
-            tag = self.factor(q)
+    def _roles(self) -> tuple[list[tuple[int, int]], dict[int, int]]:
+        """Flip ``(qubit, row bit)`` pairs from qubit 0 up (the target first), and core controls."""
+        flips, controls = [], {}
+        for q, tag in enumerate(reversed(self.factors)):
             if tag in (S00, S11):
-                qubits.append(q)
-                polarities.append(_ROW_BIT[tag])
-            elif tag != ID and q != target:
-                qubits.append(q)
-                polarities.append(1)
-        return tuple(qubits), tuple(polarities)
+                controls[q] = _ROW_BIT[tag]
+            elif tag != ID:
+                if flips:  # a flip above the target controls the core on 1
+                    controls[q] = 1
+                flips.append((q, _ROW_BIT[tag]))
+        return flips, controls
+
+    def basis_change(self) -> list[Gate]:
+        """Basis change ``O`` mapping the two marked patterns onto superposition states."""
+        flips, _ = self._roles()
+        t = flips[0][0]
+        gates = [Gate(SUPERPOSE, (t,))]
+        if self.phase != 0.0:
+            # +1 eigenvector of e^{i*phase} T + h.c. carries e^{-i*phase} on |b>.
+            gates.append(Gate(PHASE, (t,), -self.phase))
+        gates += [Gate(CNOT, (t, q)) for q, _ in flips[1:]]
+        return gates + [Gate(X, (q,)) for q, bit in flips if bit == int(q == t)]
+
+    def gates(self, dt: float, scaled_controls=(((), 1.0),)) -> list[Gate]:
+        """``dagger(O) + cores + O``, one commuting core per ``(extra controls, scale)`` pair.
+
+        Each core realizes ``exp(i * dt * scale * matrix())``; extra controls fire on 1.
+        """
+        flips, controls = self._roles()
+        ctrls, pols = tuple(controls), tuple(controls.values())
+        # 2*weight*dt first, then the scale: the pinned digests rest on this order.
+        cores = [
+            Gate(MCRZ, ctrls + extra + (flips[0][0],), -(2.0 * self.weight * dt) * scale,
+                 pols + (1,) * len(extra))
+            for extra, scale in scaled_controls
+        ]
+        o = self.basis_change()
+        return dagger(o) + cores + o
 
 
 def compile_blocks(h) -> list[BellBlock]:

@@ -407,14 +407,18 @@ def execute_compare(dir_a: str, dir_b: str, outdir: str | None) -> dict:
         keyed_b = {tuple(r[:5]): r for r in rows_b}
         with open(out / "probes_overlay.csv", "w") as fh:
             fh.write("time,component,i,j,k,value_a,value_b\n")
-            worst = 0.0
+            worst, indeterminate = 0.0, 0
             for r in rows_a:
                 other = keyed_b.get(tuple(r[:5]))
                 if other is None:
                     continue
                 fh.write(",".join(r[:5]) + f",{r[5]},{other[5]}\n")
-                worst = max(worst, abs(float(r[5]) - float(other[5])))
-            report["probes"] = {"linf": worst}
+                diff = abs(float(r[5]) - float(other[5]))
+                if math.isnan(diff):  # a row indeterminate in either run agrees with nothing
+                    indeterminate += 1
+                else:
+                    worst = max(worst, diff)
+            report["probes"] = {"linf": worst, "indeterminate": indeterminate}
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 

@@ -27,6 +27,8 @@ from .grid import Component, FieldLayout, FieldState
 
 EXACT = "exact"
 _EPS = np.finfo(float).eps
+# Largest imaginary part, relative to the target amplitude, that still reads as phase 0 or pi.
+_PHASE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ def magnitude_at(
     return MagnitudeEstimate(value, se, shots)
 
 
-def _aligned_amplitudes(psi, ref_index, target_index, phase_tol):
+def _aligned_amplitudes(psi, ref_index, target_index):
     """Reference modulus and target amplitude in the reference's phase frame.
 
     The target must be real in that frame (relative phase 0 or pi); when it
@@ -159,7 +161,7 @@ def _aligned_amplitudes(psi, ref_index, target_index, phase_tol):
         )
     r = abs(a_r)
     at = a_t * (a_r / r).conjugate()
-    if abs(at.imag) > phase_tol * max(abs(at), 1.0e-30):
+    if abs(at.imag) > _PHASE_TOL * max(abs(at), 1.0e-30):
         raise IndeterminateSignError(
             f"relative phase of probe amplitudes is not 0 or pi "
             f"(residual imaginary part {at.imag:.3e})",
@@ -175,7 +177,6 @@ def relative_sign(
     target_index: int,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
-    phase_tol: float = 1e-6,
 ) -> int:
     """Interference comparison of two real amplitudes: +1 same sign, -1 opposite.
 
@@ -184,7 +185,7 @@ def relative_sign(
     than 0 or pi, a tie (exact mode), no interference counts or a gap below
     three combined standard errors (shot mode) is indeterminate.
     """
-    ar, at = _aligned_amplitudes(psi, ref_index, target_index, phase_tol)
+    ar, at = _aligned_amplitudes(psi, ref_index, target_index)
     e_plus = (ar + at) ** 2 / 2.0
     e_minus = (ar - at) ** 2 / 2.0
     if shots is None:
@@ -247,7 +248,8 @@ def signed_field_at(
     its modulus, exact zero included) reads as zero: its phase is noise.
     An indeterminate sign gives value nan and sign 0, with the magnitude of
     the same draw where the probe carries no offset correction and nan
-    where it does.
+    where it does; with a drawn magnitude of 0 and no correction the reading
+    is a certain zero (sign +1), as in exact mode.
     """
     layout = pipe.layout
     flat_t = layout.flat_index(request.component, request.i, request.j, request.k)
@@ -266,8 +268,10 @@ def signed_field_at(
         try:
             sign = relative_sign(pipe.amps, flat_r, flat_t, shots, rng)
         except IndeterminateSignError:
-            magnitude = est.value if correction == 0 else math.nan
-            return SignedReading(magnitude, 0, math.nan, est.shots_used)
+            if est.value != 0 or correction != 0:
+                magnitude = est.value if correction == 0 else math.nan
+                return SignedReading(magnitude, 0, math.nan, est.shots_used)
+            sign = 1  # zero hits and no correction: the reading is 0 whatever the sign
     value = sign * est.value - correction
     return SignedReading(
         magnitude=abs(value),

@@ -1,7 +1,8 @@
 """First-order product circuits for the lifted dynamics, plus a step runner.
 
 ``TrotterRunner`` and :func:`emit_trotter_circuit` take a ``HermitianPair``,
-whose blocks serve every step size.  The runner is a ``LiftedRunner``: the base
+whose blocks serve every step size.  Each block emits its own gates
+(``BellBlock.gates``); this module only orders, scales and repeats them.  The runner is a ``LiftedRunner``: the base
 owns the lifted state, clock, recovery and readout; it simulates one step circuit.
 
 One step applies every block of the skew part, then conjugates the symmetric
@@ -22,69 +23,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from .bell import BellBlock
-from .circuit import (
-    CNOT,
-    FOURIER,
-    MCRZ,
-    PHASE,
-    SUPERPOSE,
-    X,
-    Circuit,
-    Gate,
-    dagger,
-    rz,
-    simulate,
-)
+from .circuit import FOURIER, MCRZ, PHASE, SUPERPOSE, Circuit, Gate, rz, simulate
 from .grid import FieldState
 from .lifting import HermitianPair, LiftedRunner, PRegister, hermitian_split
-
-
-def _o_transform_gates(block: BellBlock) -> list[Gate]:
-    """Basis change mapping the two marked patterns onto superposition states."""
-    t = block.target
-    gates = [Gate(SUPERPOSE, (t,))]
-    if block.phase != 0.0:
-        # +1 eigenvector of e^{i*phase} T + h.c. carries e^{-i*phase} on |b>.
-        gates.append(Gate(PHASE, (t,), -block.phase))
-    for f in block.flip_qubits:
-        if f != t:
-            gates.append(Gate(CNOT, (t, f)))
-    for q in block.flip_qubits:
-        if block.row_bit(q) == (1 if q == t else 0):
-            gates.append(Gate(X, (q,)))
-    return gates
-
-
-def block_gates(
-    block: BellBlock,
-    dt: float,
-    extra_controls: tuple[int, ...] = (),
-    angle_scales: tuple[float, ...] = (1.0,),
-) -> list[Gate]:
-    """Gate sequence realizing ``exp(i * dt * scale * block.matrix())`` per scale.
-
-    With several ``(extra control, scale)`` entries the rotations share one
-    basis-change conjugation; the cores commute.  ``extra_controls`` must
-    align with ``angle_scales`` when given (one control per scaled core); an
-    empty control list emits the single unconditional core.
-    """
-    if extra_controls and len(extra_controls) != len(angle_scales):
-        raise ValueError("one extra control per angle scale")
-    ctrls, pols = block.controls
-    cores = []
-    for idx, scale in enumerate(angle_scales):
-        extra = (extra_controls[idx],) if extra_controls else ()
-        cores.append(
-            Gate(
-                MCRZ,
-                ctrls + extra + (block.target,),
-                # 2*weight*dt first, then the scale: the pinned digests rest on this order.
-                -(2.0 * block.weight * dt) * scale,
-                pols + (1,) * len(extra),
-            )
-        )
-    o_gates = _o_transform_gates(block)
-    return dagger(o_gates) + cores + o_gates
 
 
 def xi_bit_scales(reg: PRegister) -> list[float]:
@@ -109,13 +50,13 @@ def step_gates(
     """
     gates: list[Gate] = []
     for b in h2_blocks:
-        gates.extend(block_gates(b, dt))
+        gates.extend(b.gates(dt))
     if h1_blocks:
         anc = tuple(range(n_sys, n_sys + reg.n_a))
-        scales = tuple(xi_bit_scales(reg))
+        scaled = tuple(((q,), s) for q, s in zip(anc, xi_bit_scales(reg)))
         gates.append(Gate(FOURIER, anc))
         for b in h1_blocks:
-            gates.extend(block_gates(b, dt, extra_controls=anc, angle_scales=scales))
+            gates.extend(b.gates(dt, scaled))
         gates.append(Gate(FOURIER, anc, inverse=True))
     return gates
 

@@ -47,7 +47,7 @@ from qmaxwell.oracle import (
     snapshot,
 )
 from qmaxwell.scenarios import scenario_2d_empty, scenario_2d_scatterer, scenario_3d_empty
-from qmaxwell.trotter import TrotterRunner, block_gates
+from qmaxwell.trotter import TrotterRunner
 
 from helpers import flat_state, gates_unitary, normalized_cross_correlation, reconstruct
 from stencil_oracle import apply_curl_2d, apply_curl_3d
@@ -114,7 +114,7 @@ def test_criterion_02_bell_reconstruction_and_blocks():
         blocks = compile_blocks(h)  # refuses a diagonal string; the curl generators have none
         n = int(math.log2(h.shape[0]))
         for block in blocks:
-            u = gates_unitary(block_gates(block, dt), n)
+            u = gates_unitary(block.gates(dt), n)
             expected = expm(1j * dt * block.matrix())
             worst_block = max(worst_block, float(np.linalg.norm(u - expected)))
             n_blocks += 1
@@ -317,7 +317,7 @@ def test_criterion_08_gate_count_scaling():
     counts = {}
     for n in range(4, 13):
         block = BellBlock(coefficient=1.0 + 0j, factors=tuple([S01] * n))
-        counts[n] = gate_stats(Circuit(n, tuple(block_gates(block, 0.1))))["two_qubit_count"]
+        counts[n] = gate_stats(Circuit(n, tuple(block.gates(0.1))))["two_qubit_count"]
     ratios = {n: c / n**2 for n, c in counts.items()}
     c_fit = max(ratios.values())
     envelope_ok = all(counts[n] <= c_fit * n**2 for n in counts)

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import itertools
 
@@ -6,13 +7,16 @@ import pytest
 from scipy.linalg import expm
 
 from qmaxwell.bell import (
+    S00,
     S01,
     S10,
+    S11,
     ID,
+    BellBlock,
     compile_blocks,
     tensorize,
 )
-from qmaxwell.circuit import MCRZ
+from qmaxwell.circuit import CNOT, MCRZ, Circuit, dagger, simulate
 from qmaxwell.errors import HermiticityError
 from qmaxwell.grid import Boundaries, GridSpec, ScattererBox
 from qmaxwell.lifting import hermitian_split
@@ -22,7 +26,6 @@ from qmaxwell.operators import (
     symmetrizing_weights,
 )
 from qmaxwell.scenarios import build_scenario
-from qmaxwell.trotter import block_gates
 
 from helpers import gates_unitary, reconstruct
 
@@ -124,14 +127,14 @@ class TestPairAdjoints:
 
 
 def simulated_block_unitary(block, dt, n=None):
-    return gates_unitary(block_gates(block, dt), n or block.n)
+    return gates_unitary(block.gates(dt), n or block.n)
 
 
 class TestBellBlocks:
     def test_single_qubit_x_block(self):
         block = compile_blocks(PAULI_X)[0]
-        assert block.flip_qubits == (0,)
-        assert [g.angle for g in block_gates(block, 0.3) if g.kind == MCRZ] == [pytest.approx(-0.6)]
+        cores = [g for g in block.gates(0.3) if g.kind == MCRZ]
+        assert [(g.qubits, g.angle) for g in cores] == [((0,), pytest.approx(-0.6))]
         u = simulated_block_unitary(block, 0.3)
         expected = expm(1j * 0.3 * PAULI_X)
         assert np.linalg.norm(u - expected) < 1e-12
@@ -143,7 +146,9 @@ class TestBellBlocks:
         blocks = compile_blocks(h)
         assert len(blocks) == 1
         block = blocks[0]
-        assert set(block.flip_qubits) == {0, 1}
+        # The lower flip qubit carries the core; the basis change fans out to the other.
+        assert [g.qubits for g in block.gates(0.25) if g.kind == MCRZ] == [(1, 0)]
+        assert [g.qubits for g in block.basis_change() if g.kind == CNOT] == [(0, 1)]
         u = simulated_block_unitary(block, 0.25)
         assert np.linalg.norm(u - expm(1j * 0.25 * h)) < 1e-12
 
@@ -152,7 +157,8 @@ class TestBellBlocks:
         h = np.zeros((4, 4), dtype=complex)
         h[2, 3] = h[3, 2] = 1.0
         block = compile_blocks(h)[0]
-        assert block.controls == ((1,), (1,))
+        [core] = [g for g in block.gates(0.4) if g.kind == MCRZ]
+        assert (core.controls, core.polarities, core.target) == ((1,), (1,), 0)
         u = simulated_block_unitary(block, 0.4)
         assert np.linalg.norm(u - expm(1j * 0.4 * h)) < 1e-12
 
@@ -198,6 +204,48 @@ class TestBellBlocks:
             assert np.linalg.norm(u @ u.conj().T - np.eye(64)) < 1e-12
             expected = expm(1j * dt * b.matrix())
             assert np.linalg.norm(u - expected) < 1e-10
+
+
+_ROW_COL = {S00: (0, 0), S01: (0, 1), S10: (1, 0), S11: (1, 1)}
+
+
+def test_basis_change_reads_out_the_pair_interference():
+    """``dagger(O)`` maps ``a|r> + b*e^{-i phase}|c>`` onto two outcomes with probabilities ``(a +- b)^2 / 2``.
+
+    ``r`` and ``c`` are the row and column patterns of the block's string
+    (an identity factor puts one random bit in both).  The two outcomes
+    differ only in the target, the lowest flip qubit, and the ``+`` one has
+    the target at 0.  This is the sign readout of a probe pair.
+    """
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        lead = int(rng.integers(n))
+        # No flip above the leading |0><1|, as in a compiled block.
+        factors = tuple(
+            S01 if k == lead else str(rng.choice([ID, S00, S11] + [S01, S10] * (k > lead)))
+            for k in range(n)
+        )
+        r = c = 0
+        for k, tag in enumerate(factors):
+            rb, cb = _ROW_COL[tag] if tag != ID else (int(rng.integers(2)),) * 2
+            r |= rb << (n - 1 - k)
+            c |= cb << (n - 1 - k)
+        phase = rng.uniform(-np.pi, np.pi)
+        theta = rng.uniform(0, 2 * np.pi)
+        a, b = np.cos(theta), np.sin(theta)
+        block = BellBlock(cmath.exp(1j * phase), factors)
+        psi = np.zeros(1 << n, dtype=complex)
+        psi[r] = a
+        psi[c] = b * np.exp(-1j * block.phase)
+        probs = np.abs(simulate(Circuit(n, tuple(dagger(block.basis_change()))), psi)) ** 2
+        outcomes = np.flatnonzero(probs)
+        assert len(outcomes) == 2
+        plus, minus = outcomes
+        target = n - 1 - max(k for k, tag in enumerate(factors) if tag in (S01, S10))
+        assert plus ^ minus == 1 << target and not plus >> target & 1
+        assert abs(probs[plus] - (a + b) ** 2 / 2) <= 1e-14
+        assert abs(probs[minus] - (a - b) ** 2 / 2) <= 1e-14
 
 
 def _digest_specs():

@@ -202,6 +202,26 @@ class TestRun:
         step1 = [r for r in rows if abs(float(r["time"]) - 0.1) < 1e-9]
         assert len(step1) == 1 and abs(float(step1[0]["value"])) <= 1e-12
 
+    def test_shot_mode_zero_hits_read_zero(self, tmp_path):
+        # Hx:5:2, Hy:1:6 and Ez:3:3 (inside the body, frozen at zero) draw no
+        # magnitude hits and carry no offset correction, so each reads a certain 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the default offset equals the certified bound
+            rc = main([
+                "run", "--scenario", "2d-scatterer", "--nx", "8", "--steps", "10", "--shots", "500",
+                "--seed", "3", "--probes", "Ez:1:1", "Hx:5:2", "Hy:1:6", "Ez:3:3",
+                "--outdir", str(tmp_path / "r"),
+            ])
+        assert rc == 0
+        rows = (tmp_path / "r" / "probes.csv").read_text().splitlines()[1:]
+        zero = [r for r in rows if ",Ez,1,1," not in r]
+        assert len(zero) == 33 and all(r.endswith(",0,0.0,0.0,1,500") for r in zero)
+        # Their sign draws still happen, so the reference probe's rows keep their bytes.
+        ref = "\n".join(r for r in rows if ",Ez,1,1," in r)
+        assert hashlib.sha256(ref.encode()).hexdigest() == (
+            "c26d7298f720f2232536f010f08450032175823296818e140d6f6a857510cda1"
+        )
+
     @pytest.mark.parametrize("backend", ["oracle", "lifted-exact", "circuit"])
     def test_off_grid_snapshot_exit_two(self, tmp_path, backend):
         rc = main([
@@ -220,7 +240,22 @@ class TestCompare:
         execute_run(c2)
         report = execute_compare(str(tmp_path / "a"), str(tmp_path / "b"), str(tmp_path / "cmp"))
         assert all(v["l2"] == 0.0 for v in report["snapshots"].values())
-        assert report["probes"]["linf"] == 0.0
+        assert report["probes"] == {"linf": 0.0, "indeterminate": 0}
+
+    def test_indeterminate_probe_rows_counted_apart(self, tmp_path):
+        # The narrow window leaves the circuit's four rows at t = 0.2 and 0.3
+        # indeterminate (nan); they count apart, and the t = 0.1 rows set linf.
+        run = [
+            "run", "--scenario", "2d-scatterer", "--steps", "3", "--p-min", "-0.2", "--p-max", "0.3",
+            "--probes", "Ez:3:3", "Hx:5:2",
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the default offset equals the certified bound
+            for backend in ("circuit", "oracle"):
+                assert main([*run, "--backend", backend, "--outdir", str(tmp_path / backend)]) == 0
+        report = execute_compare(str(tmp_path / "oracle"), str(tmp_path / "circuit"), str(tmp_path / "cmp"))
+        assert report["probes"]["indeterminate"] == 4
+        assert report["probes"]["linf"] == pytest.approx(0.019842, abs=1e-6)
 
     @pytest.mark.parametrize(
         "text",

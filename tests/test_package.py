@@ -47,6 +47,21 @@ def test_only_cli_main_prints():
     assert found == []
 
 
+def test_no_private_names_imported_across_modules():
+    # A name with a leading underscore belongs to its module; a sibling that
+    # needs it should find it public, or in the module that owns the concept.
+    found = [
+        f"{name}:{node.lineno} {alias.name}"
+        for name, tree in _library_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("qmaxwell"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")  # dunders are public
+    ]
+    assert found == []
+
+
 def test_negative_magnitudes_rejected():
     with pytest.raises(QmaxwellError):
         MagnitudeEstimate(-1.0, 0.0, "exact")
