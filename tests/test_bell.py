@@ -210,7 +210,7 @@ _ROW_COL = {S00: (0, 0), S01: (0, 1), S10: (1, 0), S11: (1, 1)}
 
 
 def test_basis_change_reads_out_the_pair_interference():
-    """``dagger(O)`` maps ``a|r> + b*e^{-i phase}|c>`` onto two outcomes with probabilities ``(a +- b)^2 / 2``.
+    """``dagger(O)`` maps ``a|r> + b*e^{-i phase}|c>`` onto two outcomes of probability ``(a +- b)^2 / 2``.
 
     ``r`` and ``c`` are the row and column patterns of the block's string
     (an identity factor puts one random bit in both).  The two outcomes
