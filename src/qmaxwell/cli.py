@@ -136,7 +136,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def _parse_probes(items, layout: FieldLayout) -> list[ProbeRequest]:
-    """Probe requests from ``comp:i:j[:k]`` specs (or JSON lists), each checked against ``layout``."""
+    """Probe requests from ``comp:i:j[:k]`` specs (or JSON lists), each checked against ``layout``.
+
+    A pad slot is refused: it is no sample of the field and reads 0 forever.
+    """
     out = []
     for item in items:
         parts = item.split(":") if isinstance(item, str) else item
@@ -148,6 +151,8 @@ def _parse_probes(items, layout: FieldLayout) -> list[ProbeRequest]:
             layout.flat_index(probe.component, *idx)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad probe {item!r}: {e}") from e
+        if layout.classify(probe.component, *idx).pad:
+            raise ConfigError(f"probe {item!r} is a pad slot")
         out.append(probe)
     return out
 
@@ -368,12 +373,22 @@ def execute_stats(config: RunConfig) -> dict:
     return stats
 
 
-def _read_csv_rows(path: Path) -> list[list[str]]:
-    lines = path.read_text().splitlines()
-    return [line.split(",") for line in lines]
+def _probe_rows(path: Path) -> list[tuple[tuple[str, ...], str, float]]:
+    """Rows of a ``probes.csv`` as (time, component, i, j, k) key, value text and value."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return [(tuple(r[:5]), r[5], float(r[5])) for r in rows]
+
+
+def _is_file_name(name) -> bool:
+    return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
 
 
 def execute_compare(dir_a: str, dir_b: str, outdir: str | None) -> dict:
+    """Diff two runs' common snapshots and probe rows.
+
+    Every compared file of both runs is read before the report directory is
+    made, so a missing or malformed artifact writes nothing.
+    """
     pa, pb = Path(dir_a), Path(dir_b)
     try:
         ma, mb = (json.loads((p / "manifest.json").read_text()) for p in (pa, pb))
@@ -382,38 +397,42 @@ def execute_compare(dir_a: str, dir_b: str, outdir: str | None) -> dict:
     for m in (ma, mb):
         if not (isinstance(m, dict) and {"scenario", "grid", "artifacts"} <= m.keys()):
             raise ConfigError("each manifest must be an object with scenario, grid and artifacts")
-        if not (isinstance(m["artifacts"], list) and all(isinstance(a, str) for a in m["artifacts"])):
+        if not (isinstance(m["artifacts"], list) and all(map(_is_file_name, m["artifacts"]))):
             raise ConfigError("a manifest's artifacts must be a list of file names")
     if ma["grid"] != mb["grid"] or ma["scenario"] != mb["scenario"]:
         raise ConfigError("runs have mismatching scenario or layout")
-    out = Path(outdir) if outdir else pa / "compare"
-    out.mkdir(parents=True, exist_ok=True)
-    report = {"scenario": ma["scenario"], "snapshots": {}, "probes": None}
     common = sorted(
         set(ma["artifacts"]) & set(mb["artifacts"]) - {"probes.csv"}
     )
+    both_probed = "probes.csv" in ma["artifacts"] and "probes.csv" in mb["artifacts"]
+    try:
+        diffs = {
+            name: np.loadtxt(pa / name, delimiter=",", ndmin=2) - np.loadtxt(pb / name, delimiter=",", ndmin=2)
+            for name in common
+        }
+        rows_a, rows_b = (_probe_rows(p / "probes.csv") for p in (pa, pb)) if both_probed else ([], [])
+    except (OSError, ValueError, IndexError) as e:
+        raise ConfigError(f"cannot read artifacts: {e}") from e
+    out = Path(outdir) if outdir else pa / "compare"
+    out.mkdir(parents=True, exist_ok=True)
+    report = {"scenario": ma["scenario"], "snapshots": {}, "probes": None}
     with open(out / "diff.csv", "w") as fh:
         fh.write("artifact,l2,linf\n")
-        for name in common:
-            arr_a = np.loadtxt(pa / name, delimiter=",", ndmin=2)
-            arr_b = np.loadtxt(pb / name, delimiter=",", ndmin=2)
-            d = arr_a - arr_b
+        for name, d in diffs.items():
             l2, linf = float(np.linalg.norm(d)), float(np.max(np.abs(d))) if d.size else 0.0
             report["snapshots"][name] = {"l2": l2, "linf": linf}
             fh.write(f"{name},{_fmt(l2)},{_fmt(linf)}\n")
-    if "probes.csv" in ma["artifacts"] and "probes.csv" in mb["artifacts"]:
-        rows_a = _read_csv_rows(pa / "probes.csv")[1:]
-        rows_b = _read_csv_rows(pb / "probes.csv")[1:]
-        keyed_b = {tuple(r[:5]): r for r in rows_b}
+    if both_probed:
+        keyed_b = {key: (text, value) for key, text, value in rows_b}
         with open(out / "probes_overlay.csv", "w") as fh:
             fh.write("time,component,i,j,k,value_a,value_b\n")
             worst, indeterminate = 0.0, 0
-            for r in rows_a:
-                other = keyed_b.get(tuple(r[:5]))
+            for key, text, value in rows_a:
+                other = keyed_b.get(key)
                 if other is None:
                     continue
-                fh.write(",".join(r[:5]) + f",{r[5]},{other[5]}\n")
-                diff = abs(float(r[5]) - float(other[5]))
+                fh.write(",".join(key) + f",{text},{other[0]}\n")
+                diff = abs(value - other[1])
                 if math.isnan(diff):  # a row indeterminate in either run agrees with nothing
                     indeterminate += 1
                 else:

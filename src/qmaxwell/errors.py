@@ -32,17 +32,5 @@ class RecoveryInfeasibleError(QmaxwellError, RuntimeError):
         self.required_p = required_p
 
 
-class IndeterminateSignError(QmaxwellError, RuntimeError):
-    """Interference sign test could not separate the two hypotheses.
-
-    Both interference estimates are attached for diagnostics.
-    """
-
-    def __init__(self, message: str, plus_estimate: float, minus_estimate: float):
-        super().__init__(message)
-        self.plus_estimate = plus_estimate
-        self.minus_estimate = minus_estimate
-
-
 class ConfigError(QmaxwellError, ValueError):
     """Invalid run configuration (CLI exit code 2)."""

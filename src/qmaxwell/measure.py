@@ -11,7 +11,10 @@ reference amplitude then never changes sign, every other sign is chained to
 it through a two-amplitude interference comparison, and the shift is removed
 afterwards by subtracting its own evolved response (the shift is a full field
 configuration and generally evolves; subtracting the evolved response is
-exact by linearity).
+exact by linearity).  A comparison that cannot decide returns sign 0, which
+travels as data: the reading's value is nan and its sign 0.
+
+Shot mode draws from the caller's generator and never from a fresh one.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndeterminateSignError, QmaxwellError
+from .errors import QmaxwellError
 from .grid import Component, FieldLayout, FieldState
 
 EXACT = "exact"
@@ -128,12 +131,11 @@ def magnitude_at(
 
     ``scale`` is the slot's physical scale from ``LiftedRunner.readout``.
     With ``shots`` the estimate comes from simulated measurement frequencies
-    with its binomial standard error.
+    drawn from ``rng``, with its binomial standard error.
     """
     amp = amps[flat_index]
     if shots is None:
         return MagnitudeEstimate(abs(amp) * scale, 0.0, EXACT)
-    rng = rng or np.random.default_rng()
     p = min(abs(amp) ** 2, 1.0)
     hits = rng.binomial(shots, p)
     phat = hits / shots
@@ -145,32 +147,6 @@ def magnitude_at(
     return MagnitudeEstimate(value, se, shots)
 
 
-def _aligned_amplitudes(psi, ref_index, target_index):
-    """Reference modulus and target amplitude in the reference's phase frame.
-
-    The target must be real in that frame (relative phase 0 or pi); when it
-    is not, or the reference vanishes, the sign is indeterminate.
-    """
-    a_r = psi[ref_index]
-    a_t = psi[target_index]
-    if abs(a_r) == 0.0:
-        raise IndeterminateSignError(
-            "reference amplitude vanishes; global phase cannot be fixed",
-            abs(a_t) ** 2 / 2,
-            abs(a_t) ** 2 / 2,
-        )
-    r = abs(a_r)
-    at = a_t * (a_r / r).conjugate()
-    if abs(at.imag) > _PHASE_TOL * max(abs(at), 1.0e-30):
-        raise IndeterminateSignError(
-            f"relative phase of probe amplitudes is not 0 or pi "
-            f"(residual imaginary part {at.imag:.3e})",
-            abs(r + at) ** 2 / 2,
-            abs(r - at) ** 2 / 2,
-        )
-    return r, at.real
-
-
 def relative_sign(
     psi: np.ndarray,
     ref_index: int,
@@ -178,32 +154,31 @@ def relative_sign(
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> int:
-    """Interference comparison of two real amplitudes: +1 same sign, -1 opposite.
+    """Interference comparison of two amplitudes: +1 same sign, -1 opposite, 0 undecided.
 
-    Compares estimators of the squared sum and squared difference of the two
-    magnitudes; whichever dominates decides the sign.  A relative phase other
-    than 0 or pi, a tie (exact mode), no interference counts or a gap below
-    three combined standard errors (shot mode) is indeterminate.
+    The target is taken in the reference's phase frame, where it must be
+    real; the squared sum and squared difference of the two amplitudes are
+    then compared, and whichever dominates decides the sign.  The sign is
+    undecided (0) when the reference vanishes, the relative phase is not 0
+    or pi, the two estimates tie (exact mode), or there are no interference
+    counts or a gap below three combined standard errors (shot mode).  Shot
+    mode draws one multinomial from ``rng``, after both frame checks.
     """
-    ar, at = _aligned_amplitudes(psi, ref_index, target_index)
-    e_plus = (ar + at) ** 2 / 2.0
-    e_minus = (ar - at) ** 2 / 2.0
+    a_r = psi[ref_index]
+    if abs(a_r) == 0.0:
+        return 0
+    r = abs(a_r)
+    at = psi[target_index] * (a_r / r).conjugate()
+    if abs(at.imag) > _PHASE_TOL * max(abs(at), 1.0e-30):
+        return 0
+    e_plus = (r + at.real) ** 2 / 2.0
+    e_minus = (r - at.real) ** 2 / 2.0
     if shots is None:
-        if e_plus == e_minus:
-            raise IndeterminateSignError(
-                "interference estimates tie exactly", e_plus, e_minus
-            )
-        return 1 if e_plus > e_minus else -1
-    rng = rng or np.random.default_rng()
+        return 0 if e_plus == e_minus else 1 if e_plus > e_minus else -1
     rest = max(1.0 - e_plus - e_minus, 0.0)
     n_plus, n_minus, _ = rng.multinomial(shots, [e_plus, e_minus, rest])
     if n_plus + n_minus == 0 or abs(int(n_plus) - int(n_minus)) < 3.0 * math.sqrt(n_plus + n_minus):
-        raise IndeterminateSignError(
-            f"sign gap below the shot-noise floor ({n_plus} vs {n_minus} "
-            f"of {shots})",
-            n_plus / shots,
-            n_minus / shots,
-        )
+        return 0
     return 1 if n_plus > n_minus else -1
 
 
@@ -265,9 +240,8 @@ def signed_field_at(
     elif shots is None and abs(pipe.amps[flat_t]) <= _EPS * abs(pipe.amps[flat_r]):
         sign = 1  # zero to rounding: sign is immaterial
     else:
-        try:
-            sign = relative_sign(pipe.amps, flat_r, flat_t, shots, rng)
-        except IndeterminateSignError:
+        sign = relative_sign(pipe.amps, flat_r, flat_t, shots, rng)
+        if sign == 0:
             if est.value != 0 or correction != 0:
                 magnitude = est.value if correction == 0 else math.nan
                 return SignedReading(magnitude, 0, math.nan, est.shots_used)

@@ -61,8 +61,11 @@ class TestConfig:
             load_config(str(cfg), {})
 
     def test_bad_probe_spec(self, tmp_path):
-        # Each is refused before any artifact is written (Ex has no 2D sample).
-        for spec in ("Ez", "Ez:x:3", "Ez:99:3", "Ez:1:1:2", "Qz:1:1", "Ex:1:1", ["Ez", 1, 1, 0, 5]):
+        # Each is refused before any artifact is written (Ex has no 2D sample;
+        # Hx:1:3 and Hy:3:1 are pad slots of the 4x4 grid).
+        for spec in (
+            "Ez", "Ez:x:3", "Ez:99:3", "Ez:1:1:2", "Qz:1:1", "Ex:1:1", ["Ez", 1, 1, 0, 5], "Hx:1:3", "Hy:3:1",
+        ):
             config = small_run_config(tmp_path, probes=[spec])
             with pytest.raises(ConfigError):
                 execute_run(config)
@@ -258,16 +261,32 @@ class TestCompare:
         assert report["probes"]["linf"] == pytest.approx(0.019842, abs=1e-6)
 
     @pytest.mark.parametrize(
-        "text",
-        ["{not json", "{}", "[1]", {"artifacts": 5}, {"artifacts": [5]}],
-        ids=["unreadable", "no-keys", "not-object", "artifacts-not-list", "artifacts-not-names"],
+        "text, files",
+        [
+            ("{not json", {}),
+            ("{}", {}),
+            ("[1]", {}),
+            ({"artifacts": 5}, {}),
+            ({"artifacts": [5]}, {}),
+            ({"artifacts": ["../a/manifest.json"]}, {}),
+            ({}, {}),
+            ({"artifacts": ["Ez_T0.csv"]}, {"Ez_T0.csv": "x,y\n"}),
+        ],
+        ids=[
+            "unreadable", "no-keys", "not-object", "artifacts-not-list", "artifacts-not-names",
+            "artifact-outside-run", "artifact-missing", "artifact-not-numeric",
+        ],
     )
-    def test_malformed_manifest_exit_two(self, tmp_path, text):
-        """A dict ``text`` overrides keys of a good manifest with the same scenario and grid."""
+    def test_malformed_manifest_exit_two(self, tmp_path, text, files):
+        """A dict ``text`` overrides keys of a good manifest with the same scenario and grid;
+        ``files`` are the only artifacts written next to it."""
         good = execute_run(small_run_config(tmp_path, outdir=str(tmp_path / "a"), steps=0, probes=[]))
+        assert "Ez_T0.csv" in good["artifacts"]
         bad = tmp_path / "b"
         bad.mkdir()
         (bad / "manifest.json").write_text(text if isinstance(text, str) else json.dumps({**good, **text}))
+        for name, content in files.items():
+            (bad / name).write_text(content)
         report = tmp_path / "cmp"
         for pair in ((tmp_path / "a", bad), (bad, tmp_path / "a")):
             assert main(["compare", *map(str, pair), "--outdir", str(report)]) == 2
@@ -471,7 +490,8 @@ class TestMain:
 
 _SCATTERER = ["--scenario", "2d-scatterer", "--nx", "8", "--steps", "4", "--snapshot-times", "0.4"]
 _PROBES = ["--probes", "Ez:1:1", "Hx:5:2", "Hy:1:6"]
-# In-process CLI calls whose artifacts are pinned; none writes a sign-0 probe row.
+# In-process CLI calls whose artifacts are pinned.  "shots" writes three
+# shot-gap sign-0 rows and "narrow-window" four phase-undecided ones.
 _PINNED_RUNS = {
     "circuit": ["run", *_SCATTERER, *_PROBES],
     "circuit-na3-unweighted": [
@@ -485,6 +505,14 @@ _PINNED_RUNS = {
     ],
     "stats": ["stats", "--scenario", "2d-empty", "--nx", "4", "--steps", "2"],
     "table": ["table", "--scenario", "2d-empty", "--nx", "8", "--dts", "0.1", "0.05", "--times", "0.2", "0.4"],
+    "shots": [
+        "run", "--scenario", "2d-scatterer", "--nx", "8", "--steps", "10", "--shots", "500", "--seed", "3",
+        "--probes", "Ez:1:1", "Hx:5:2", "Hy:1:6", "Ez:3:3",
+    ],
+    "narrow-window": [
+        "run", "--scenario", "2d-scatterer", "--steps", "3", "--p-min", "-0.2", "--p-max", "0.3",
+        "--probes", "Ez:3:3", "Hx:5:2",
+    ],
 }
 # sha256 of every artifact of each run; the manifest's echoed outdir reads "OUT".
 _ARTIFACT_DIGESTS = {
@@ -560,6 +588,20 @@ _ARTIFACT_DIGESTS = {
     },
     "table": {
         "error_table.csv": "dd2781f310cb0c7c672001b66ed4f76745061f8eb49c4bddb27b5030df4bafea",
+    },
+    "shots": {
+        "Ez_T0.csv": "6aff7b3d51359bd42cb1620406f8f737cb014bf6eb065f6430444abeec4223a5",
+        "Hx_T0.csv": "787d9e38debb3a4506303fb2e735372bbe0cdd64c6046724615eda7f96d529e4",
+        "Hy_T0.csv": "787d9e38debb3a4506303fb2e735372bbe0cdd64c6046724615eda7f96d529e4",
+        "manifest.json": "8f1603410318710ac26ebe3c8d480dbc05b0a9f2c45e3116c98c79ae0d27679c",
+        "probes.csv": "1263c4fecbfc7ff7545a7206a489ad3b0925cc36dc0cbada2b364d4893da3680",
+    },
+    "narrow-window": {
+        "Ez_T0.csv": "299de010da5098d8937b5beb2677d4c0a31f0af1ad5310c909aa5837c1ff4167",
+        "Hx_T0.csv": "73efcba66f347e94c286883184340153306077481ecf538237f1d93a8274109f",
+        "Hy_T0.csv": "73efcba66f347e94c286883184340153306077481ecf538237f1d93a8274109f",
+        "manifest.json": "ae2b0c41269b642a59c0c716a0a8a9f8c43c5f2767b85c66e11ed63f6c564238",
+        "probes.csv": "6adc0c0032260cd833888bf34f1f836b1053094891dbc1caf1f115797e8346d9",
     },
 }
 

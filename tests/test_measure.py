@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmaxwell.errors import IndeterminateSignError, RecoveryInfeasibleError
+from qmaxwell.errors import RecoveryInfeasibleError
 from qmaxwell.grid import (
     Boundaries,
     Component,
@@ -156,27 +156,30 @@ class TestRelativeSign:
 
     def test_exact_tie_indeterminate(self):
         psi = self.make_state(0.5, 0.0)
-        with pytest.raises(IndeterminateSignError):
-            relative_sign(psi, 0, 1)
+        assert relative_sign(psi, 0, 1) == 0
 
     def test_bad_phase_rejected(self):
         psi = self.make_state(0.5, 0.3 * np.exp(0.5j))
-        with pytest.raises(IndeterminateSignError):
-            relative_sign(psi, 0, 1)
+        assert relative_sign(psi, 0, 1) == 0
+
+    def test_vanishing_reference_indeterminate(self):
+        psi = self.make_state(0.0, 0.3)
+        assert relative_sign(psi, 0, 1) == 0
+        rng = np.random.default_rng(0)
+        assert relative_sign(psi, 0, 1, shots=256, rng=rng) == 0
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # no draw
 
     def test_shot_mode_indeterminate_when_small(self):
         psi = self.make_state(0.5, 1e-4)
         rng = np.random.default_rng(0)
-        with pytest.raises(IndeterminateSignError):
-            relative_sign(psi, 0, 1, shots=256, rng=rng)
+        assert relative_sign(psi, 0, 1, shots=256, rng=rng) == 0
 
     def test_shot_mode_no_interference_counts_indeterminate(self):
         # Both outcomes draw 0 of 100 shots: no evidence for either sign.
         psi = np.zeros(4, dtype=complex)
         psi[:3] = 0.999, 0.01, 0.01
         psi /= np.linalg.norm(psi)
-        with pytest.raises(IndeterminateSignError):
-            relative_sign(psi, 1, 2, shots=100, rng=np.random.default_rng(0))
+        assert relative_sign(psi, 1, 2, shots=100, rng=np.random.default_rng(0)) == 0
 
     def test_shot_mode_decides_clear_gap(self):
         psi = self.make_state(0.6, -0.5)

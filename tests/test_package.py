@@ -62,6 +62,19 @@ def test_no_private_names_imported_across_modules():
     assert found == []
 
 
+def test_every_error_class_is_raised():
+    # An exception type that nothing raises is an outcome no caller can see.
+    trees = dict(_library_trees())
+    defined = {node.name for node in trees["errors.py"].body if isinstance(node, ast.ClassDef)}
+    raised = {
+        getattr(exc.func if isinstance(exc, ast.Call) else exc, "id", None)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and (exc := node.exc) is not None
+    }
+    assert sorted(defined - raised) == []
+
+
 def test_negative_magnitudes_rejected():
     with pytest.raises(QmaxwellError):
         MagnitudeEstimate(-1.0, 0.0, "exact")
