@@ -108,6 +108,8 @@ class RunConfig:
             raise ConfigError("probe_every must be at least 1")
         if self.shots is not None and self.shots < 1:
             raise ConfigError("shots must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         try:
             n_joint = qubit_count(self.built_scenario.spec) + self.n_a
             if n_joint > DIMENSION_CAP.bit_length() - 1:
@@ -138,7 +140,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 def _parse_probes(items, layout: FieldLayout) -> list[ProbeRequest]:
     """Probe requests from ``comp:i:j[:k]`` specs (or JSON lists), each checked against ``layout``.
 
-    A pad slot is refused: it is no sample of the field and reads 0 forever.
+    A JSON index must be an integer, not a float or a bool.  A pad slot is
+    refused: it is no sample of the field and reads 0 forever.
     """
     out = []
     for item in items:
@@ -146,7 +149,9 @@ def _parse_probes(items, layout: FieldLayout) -> list[ProbeRequest]:
         if not isinstance(parts, (list, tuple)) or len(parts) not in (3, 4):
             raise ConfigError(f"probe {item!r} must be comp:i:j[:k]")
         try:
-            idx = [int(p) for p in parts[1:]] + [0] * (4 - len(parts))
+            idx = [int(p) if isinstance(item, str) else p for p in parts[1:]] + [0] * (4 - len(parts))
+            if not all(map(_INT[0], idx)):
+                raise TypeError("indices must be integers")
             probe = ProbeRequest(component_name(str(parts[0])), *idx)
             layout.flat_index(probe.component, *idx)
         except (TypeError, ValueError) as e:

@@ -178,8 +178,8 @@ class GridSpec:
                     "scatterer walls must lie strictly inside the outer boundary"
                 )
             if self.scatterer.faces == PMC and all(h - l == 1 for l, h in zip(lo, hi)):
-                # No sample lies strictly inside, and no wall node has an
-                # interior neighbour to patch: the box would change nothing.
+                # No sample lies strictly inside, so no wall reads a ghost:
+                # the box would change nothing.
                 raise GeometryError("a PMC scatterer one cell wide on both axes has no effect")
 
     @property

@@ -14,9 +14,12 @@ doubles the surviving coefficient in the wall row; a PEC face reflects
 them symmetrically, which cancels it.  Tangential electric samples pinned
 by PEC faces are removed by zeroing their rows and columns.
 
-An internal scatterer freezes every sample strictly inside its box and
-re-closes the wall-node stencils with the same ghost rule as the outer
-boundary.
+An internal scatterer freezes every sample strictly inside its box, and its
+walls close by the same ghost rule: a wall row that reads a frozen sample
+reads a ghost, folded onto the row's mirror entry with the sign of the
+body's face condition.  Behind a PMC wall that doubles the surviving
+coefficient, exactly as at a PMC outer face; a PEC body pins its outline
+``E_z`` rows, so nothing reads through its walls.
 """
 
 from __future__ import annotations
@@ -123,12 +126,6 @@ def _place_axis(spec: GridSpec, axis: int, d: sp.csr_matrix) -> sp.csr_matrix:
     return out
 
 
-def _mask_structural_zeros(a: sp.csr_matrix, spec: GridSpec) -> sp.csr_matrix:
-    """Zero the rows and columns of every inactive sample (pads, PEC-pinned, body interior)."""
-    d = sp.diags(FieldLayout(spec).active_mask().astype(float))
-    return (d @ a @ d).tocsr()
-
-
 # Curl table: component -> [(source, derivative axis, sign)].
 _CURL = {
     Component.EX: [(Component.HZ, 1, +1.0), (Component.HY, 2, -1.0)],
@@ -145,9 +142,11 @@ def assemble_generator(spec: GridSpec) -> sp.csr_matrix:
 
     Electric rows read magnetic blocks through edge-to-node factors (boundary
     ghosts applied per face), magnetic rows read electric blocks through
-    node-to-edge factors, and the spare pad blocks are zero.  Rows and
-    columns of inactive samples are zeroed, and the wall-node stencils of a
-    PMC scatterer are re-closed against its frozen interior.
+    node-to-edge factors, and the spare pad blocks are zero.  One ghost rule
+    closes every wall: an active row that reads a sample strictly inside the
+    body reads a ghost, which ``_ghost_sign(body.faces)`` reflects onto the
+    row's other entry in the same source block.  Rows and columns of
+    inactive samples are then zeroed.
     """
     layout = FieldLayout(spec)
     comps = layout.components
@@ -163,61 +162,25 @@ def assemble_generator(spec: GridSpec) -> sp.csr_matrix:
     n = layout.block_size
     for b in range(len(comps), layout.n_blocks):
         grid[b][b] = sp.csr_matrix((n, n))
-    a = _mask_structural_zeros(sp.bmat(grid, format="csr"), spec)
-    patches = _scatterer_wall_patches(spec) if spec.scatterer is not None else []
-    if patches:
-        rows, cols, vals = zip(*patches)
-        a = a + sp.coo_matrix((vals, (rows, cols)), shape=a.shape).tocsr()
-    return as_csr(a)
+    a = sp.bmat(grid, format="csr")
+    classes = layout.sample_classes()
+    m = a.tocoo()
+    ghost = classes.active[m.row] & classes.interior[m.col]
+    rows, cols, vals = [], [], []
+    for r, c, v in zip(m.row[ghost], m.col[ghost], m.data[ghost]):
+        # Each E row reads each H block along one axis: the mirror is the other entry.
+        row = a.indices[a.indptr[r]:a.indptr[r + 1]]
+        (mirror,) = row[(row // n == c // n) & (row != c)]
+        rows.append(r)
+        cols.append(mirror)
+        vals.append(_ghost_sign(spec.scatterer.faces) * v)
+    d = sp.diags(classes.active.astype(float))
+    return as_csr(d @ (a + sp.coo_matrix((vals, (rows, cols)), shape=a.shape)) @ d)
 
 
 def scatterer_frozen_indices(spec: GridSpec) -> np.ndarray:
     """Flat indices of samples strictly inside the scatterer box."""
     return np.flatnonzero(FieldLayout(spec).sample_classes().interior)
-
-
-def _scatterer_wall_patches(spec: GridSpec) -> list[tuple[int, int, float]]:
-    """Stencil increments closing E_z wall-node rows against the frozen interior.
-
-    Only PMC body faces produce patches: the antisymmetric ghost maps the
-    frozen interior magnetic sample onto minus its exterior mirror, doubling
-    the surviving coefficient.  Corner nodes reference no interior sample and
-    need no patch.
-    """
-    body = spec.scatterer
-    layout = FieldLayout(spec)
-    if body.faces != PMC:
-        return []
-    (lx, ly), (hx, hy) = body.lo, body.hi
-    inv_eps = 1.0 / spec.epsilon
-    patches = []
-    for j in range(ly + 1, hy):
-        # x-lo wall: dHy/dx at (lx, j) loses Hy(lx+1/2, j); ghost doubles Hy(lx-1/2, j).
-        patches.append(
-            (layout.flat_index(Component.EZ, lx, j),
-             layout.flat_index(Component.HY, lx - 1, j),
-             -inv_eps / spec.dx)
-        )
-        # x-hi wall: dHy/dx at (hx, j) loses Hy(hx-1/2, j); ghost doubles Hy(hx+1/2, j).
-        patches.append(
-            (layout.flat_index(Component.EZ, hx, j),
-             layout.flat_index(Component.HY, hx, j),
-             inv_eps / spec.dx)
-        )
-    for i in range(lx + 1, hx):
-        # y-lo wall: -dHx/dy at (i, ly) loses Hx(i, ly+1/2); ghost doubles Hx(i, ly-1/2).
-        patches.append(
-            (layout.flat_index(Component.EZ, i, ly),
-             layout.flat_index(Component.HX, i, ly - 1),
-             inv_eps / spec.dy)
-        )
-        # y-hi wall: -dHx/dy at (i, hy) loses Hx(i, hy-1/2); ghost doubles Hx(i, hy+1/2).
-        patches.append(
-            (layout.flat_index(Component.EZ, i, hy),
-             layout.flat_index(Component.HX, i, hy),
-             -inv_eps / spec.dy)
-        )
-    return patches
 
 
 def symmetrizing_weights(spec: GridSpec) -> np.ndarray:

@@ -72,31 +72,34 @@ def apply_curl_2d(spec: GridSpec, u: np.ndarray) -> np.ndarray:
             return 0.0
         return u[_flat2d(spec, _HY2D, si, j)]
 
-    def sample_hy(si, j):
-        # Value at location (si + 1/2, j) with ghost reflection where needed.
+    def sample_hy(si, j, node):
+        # Value at location (si + 1/2, j) as read by E_z at (node, j), with ghost
+        # reflection where needed.  A body sample is reflected across the wall
+        # the reading node sits on: a body one cell wide has one interior
+        # sample between two walls, and each wall mirrors it onto its own side.
         if si < 0:
             return _ghost(spec.boundaries.xlo) * read_hy(0, j)
         if si > nx - 2:
             return _ghost(spec.boundaries.xhi) * read_hy(nx - 2, j)
         if body is not None and _inside_body(spec, si + 0.5, j):
             g = _ghost(body.faces)
-            if si + 0.5 - body.lo[0] == 0.5:
+            if node == body.lo[0]:
                 return g * read_hy(body.lo[0] - 1, j)
-            if body.hi[0] - (si + 0.5) == 0.5:
+            if node == body.hi[0]:
                 return g * read_hy(body.hi[0], j)
             return 0.0
         return read_hy(si, j)
 
-    def sample_hx(i, sj):
+    def sample_hx(i, sj, node):
         if sj < 0:
             return _ghost(spec.boundaries.ylo) * read_hx(i, 0)
         if sj > ny - 2:
             return _ghost(spec.boundaries.yhi) * read_hx(i, ny - 2)
         if body is not None and _inside_body(spec, i, sj + 0.5):
             g = _ghost(body.faces)
-            if sj + 0.5 - body.lo[1] == 0.5:
+            if node == body.lo[1]:
                 return g * read_hx(i, body.lo[1] - 1)
-            if body.hi[1] - (sj + 0.5) == 0.5:
+            if node == body.hi[1]:
                 return g * read_hx(i, body.hi[1])
             return 0.0
         return read_hx(i, sj)
@@ -105,8 +108,8 @@ def apply_curl_2d(spec: GridSpec, u: np.ndarray) -> np.ndarray:
     for j in range(ny):
         for i in range(nx):
             if not _frozen_ez_2d(spec, i, j):
-                dhy_dx = (sample_hy(i, j) - sample_hy(i - 1, j)) / dx
-                dhx_dy = (sample_hx(i, j) - sample_hx(i, j - 1)) / dy
+                dhy_dx = (sample_hy(i, j, i) - sample_hy(i - 1, j, i)) / dx
+                dhx_dy = (sample_hx(i, j, j) - sample_hx(i, j - 1, j)) / dy
                 out[_flat2d(spec, _E2D, i, j)] = (dhy_dx - dhx_dy) / spec.epsilon
     for sj in range(ny - 1):
         for i in range(nx):

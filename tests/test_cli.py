@@ -65,6 +65,7 @@ class TestConfig:
         # Hx:1:3 and Hy:3:1 are pad slots of the 4x4 grid).
         for spec in (
             "Ez", "Ez:x:3", "Ez:99:3", "Ez:1:1:2", "Qz:1:1", "Ex:1:1", ["Ez", 1, 1, 0, 5], "Hx:1:3", "Hy:3:1",
+            ["Ez", 1.5, 1], ["Hx", True, 1], ["Ez", "1", 1],
         ):
             config = small_run_config(tmp_path, probes=[spec])
             with pytest.raises(ConfigError):
@@ -419,6 +420,7 @@ class TestMain:
             (unstepped + ["--probes", "Ez:1:1"], {"steps": 2.5}),
             (probed, {"probe_every": 1.5}),
             (probed, {"seed": "x"}),
+            (probed + ["--seed", "-1"], None),
             (probed, {"shots": 2.5}),
             (scatterer, {"recovery_mode": "foo"}),
             (scatterer, {"outdir": 5}),

@@ -187,6 +187,35 @@ class TestGenerator3D:
         assert defect >= 0.0  # value feeds the lift tests; recorded, not assumed
 
 
+# Bodies for the stencil checks and the byte pin: centred, off-centre and
+# non-square, one cell wide on one axis (touching i = 1 or j = 1), on square
+# and non-square grids with mixed outer faces, anisotropic spacings and
+# non-unit materials.  Each is built with PMC and with PEC walls.
+_BODIES = {
+    "centred-8x8": dict(nx=8, ny=8, box=((2, 2), (6, 6))),
+    "offcentre-16x8": dict(
+        nx=16, ny=8, box=((3, 1), (11, 4)), boundaries=Boundaries("pec", "pmc", "pmc", "pec")
+    ),
+    "thin-x-8x16": dict(
+        nx=8, ny=16, box=((1, 5), (2, 12)), boundaries=Boundaries("pmc", "pec", "pec", "pmc")
+    ),
+    "anisotropic-16x16": dict(
+        nx=16, ny=16, box=((5, 3), (12, 7)), dx=0.7, dy=1.3, epsilon=3.0, mu=0.5,
+        boundaries=Boundaries("pmc", "pec", "pmc", "pec"),
+    ),
+    "thin-y-32x16": dict(
+        nx=32, ny=16, box=((20, 9), (29, 10)), dx=1.3, dy=0.7, epsilon=2.5, mu=1.7,
+        boundaries=Boundaries("pec", "pec", "pec", "pec"),
+    ),
+}
+
+
+def _body_spec(name: str, faces: str) -> GridSpec:
+    kw = dict(_BODIES[name])
+    lo, hi = kw.pop("box")
+    return GridSpec(dim=2, scatterer=ScattererBox(lo, hi, faces=faces), **kw)
+
+
 class TestScatterer:
     def scatter_spec(self, n=16, lo=(4, 4), hi=(12, 12)):
         return GridSpec(nx=n, ny=n, dim=2, scatterer=ScattererBox(lo=lo, hi=hi))
@@ -209,23 +238,43 @@ class TestScatterer:
         assert not dense[frozen, :].any()
         assert not dense[:, frozen].any()
 
-    def test_matches_stencil_oracle(self):
-        spec = GridSpec(nx=8, ny=8, dim=2, scatterer=ScattererBox((2, 2), (6, 6)))
+    @pytest.mark.parametrize("body", _BODIES)
+    def test_matches_stencil_oracle(self, body):
+        spec = _body_spec(body, "pmc")
         a = assemble_generator(spec)
         rng = np.random.default_rng(13)
         for _ in range(20):
             u = _random_state(spec, rng)
             assert np.max(np.abs(a @ u - apply_curl_2d(spec, u))) < 1e-12
 
-    def test_matches_stencil_oracle_pec_body(self):
-        spec = GridSpec(
-            nx=8, ny=8, dim=2, scatterer=ScattererBox((2, 2), (6, 6), faces="pec")
-        )
+    @pytest.mark.parametrize("body", _BODIES)
+    def test_matches_stencil_oracle_pec_body(self, body):
+        spec = _body_spec(body, "pec")
         a = assemble_generator(spec)
         rng = np.random.default_rng(14)
         for _ in range(10):
             u = _random_state(spec, rng)
             assert np.max(np.abs(a @ u - apply_curl_2d(spec, u))) < 1e-12
+
+    def test_pmc_wall_doubles_coefficient_exactly(self):
+        # A PMC body wall closes as an outer PMC wall does: the surviving
+        # coefficient is twice the interior one, to the bit, whatever the
+        # material and spacings.  Body x-lo/y-lo walls face the field as an
+        # outer x-hi/y-hi wall does, and the other way round.
+        spec = GridSpec(
+            nx=8, ny=8, dim=2, epsilon=1.7, dx=1.9, dy=0.45, scatterer=ScattererBox((2, 2), (5, 5))
+        )
+        layout = FieldLayout(spec)
+        a = assemble_generator(spec)
+
+        def coef(row, col):
+            return a[layout.flat_index(Component.EZ, *row), layout.flat_index(*col)]
+
+        hx, hy = Component.HX, Component.HY
+        assert coef((2, 3), (hy, 1, 3)) == -2 * coef((1, 3), (hy, 1, 3)) == coef((7, 3), (hy, 6, 3))
+        assert coef((5, 3), (hy, 5, 3)) == 2 * coef((1, 3), (hy, 1, 3)) == coef((0, 3), (hy, 0, 3))
+        assert coef((3, 2), (hx, 3, 1)) == -2 * coef((3, 1), (hx, 3, 1)) == coef((3, 7), (hx, 3, 6))
+        assert coef((3, 5), (hx, 3, 5)) == 2 * coef((3, 1), (hx, 3, 1)) == coef((3, 0), (hx, 3, 0))
 
     def test_interior_is_fixed_point_of_flow(self):
         from scipy.linalg import expm
@@ -347,3 +396,15 @@ def test_generator_arrays_pinned(name):
     a = assemble_generator(spec)
     weighted = apply_weights(a, symmetrizing_weights(spec))
     assert (_csr_digest(a), _csr_digest(weighted)) == _GENERATOR_DIGESTS[name]
+
+
+def test_body_sweep_arrays_pinned():
+    """sha256 over the raw and weighted generator arrays of every body, PMC and PEC walls alike."""
+    h = hashlib.sha256()
+    for name in _BODIES:
+        for faces in ("pmc", "pec"):
+            spec = _body_spec(name, faces)
+            a = assemble_generator(spec)
+            for m in (a, apply_weights(a, symmetrizing_weights(spec))):
+                h.update(_csr_digest(m).encode())
+    assert h.hexdigest() == "d2bda47eeceb2fed7ac887194b835d62212fb4a5dbba23f1f826f1eb3a2b8f5b"
