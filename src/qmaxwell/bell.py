@@ -65,12 +65,8 @@ def _entry_dict(h) -> tuple[dict, int]:
     dim = m.shape[0]
     if dim < 1 or dim & (dim - 1):
         raise ValueError(f"dimension {dim} is not a power of two")
-    coo = m.tocoo()
-    entries = {}
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        v = complex(v)
-        if v != 0:
-            entries[(int(r), int(c))] = v
+    coo = m.tocoo()  # as_csr dropped the explicit zeros
+    entries = {(int(r), int(c)): complex(v) for r, c, v in zip(coo.row, coo.col, coo.data)}
     return entries, int(math.log2(dim))
 
 

@@ -17,7 +17,6 @@ import os
 import sys
 from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -84,16 +83,20 @@ class RunConfig:
         """Check every setting; returns ``self``.
 
         The scenario (``built_scenario``) and the auxiliary ``register`` are
-        built here, once.  The joint register (system qubits plus ``n_a``)
-        is checked against ``DIMENSION_CAP`` by arithmetic, before the
-        register allocates its ``2**n_a`` grid points.
+        built here, once.  The grid's qubits, then those plus ``n_a``, are
+        checked against ``DIMENSION_CAP`` by arithmetic, before the initial
+        field or the register's ``2**n_a`` grid points are allocated.
         """
         for name, (check, wanted) in _FIELD_TYPES.items():
             value = getattr(self, name)  # a field whose default is None may be None
             if not check(value) and not (value is None and self.__dataclass_fields__[name].default is None):
                 raise ConfigError(f"{name} must be {wanted}, not {value!r}")
+        cap = DIMENSION_CAP.bit_length() - 1
         try:
             self.built_scenario = build_scenario(self.scenario, self.nx, self.ny, self.nz)
+            n_sys = qubit_count(self.built_scenario.spec)
+            if n_sys > cap:
+                raise GridError(f"{n_sys} qubits exceed the cap of {DIMENSION_CAP}")
             # Small grids can put the scenario's impulse on a pad slot.
             pack_initial_condition(self.built_scenario.spec, list(self.built_scenario.impulses))
         except GridError as e:
@@ -111,10 +114,9 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         try:
-            n_joint = qubit_count(self.built_scenario.spec) + self.n_a
-            if n_joint > DIMENSION_CAP.bit_length() - 1:
-                raise ValueError(f"{n_joint} joint qubits exceed the cap of {DIMENSION_CAP} amplitudes")
-            self.register = PRegister(self.n_a, self.p_min, self.p_max)
+            if n_sys + self.n_a > cap:
+                raise ValueError(f"{n_sys} grid plus {self.n_a} auxiliary qubits exceed the cap of {DIMENSION_CAP}")
+            self.register = PRegister(self.n_a, self.p_min, self.p_max, self.recovery_mode)
         except ValueError as e:
             raise ConfigError(f"bad auxiliary register: {e}") from e
         return self
@@ -236,19 +238,23 @@ def _weights(config: RunConfig, scenario) -> np.ndarray | None:
 
 
 # Each backend returns (step runner, its recovered field at the runner's time, probe reader).
+# The oracle and lifted-exact runners read their probes off the recovered field.
+
+
+def _read_exact(runner):
+    return lambda writer: writer.exact(runner.time, runner.recover())
 
 
 def _oracle_backend(config, scenario, a, u0, dt, probes, manifest):
     runner = OracleRunner(a, u0, dt)
-    return runner, runner.recover, lambda writer: writer.exact(runner.time, runner.recover())
+    return runner, runner.recover, _read_exact(runner)
 
 
 def _lifted_exact_backend(config, scenario, a, u0, dt, probes, manifest):
     pair = hermitian_split(a, _weights(config, scenario))
     runner = LiftedExactRunner(pair, u0, config.register, dt)
     manifest["skew_defect_used"] = skew_defect((pair.h1 + 1j * pair.h2).real)
-    recover = partial(runner.recover, config.recovery_mode)
-    return runner, recover, lambda writer: writer.exact(runner.time, recover())
+    return runner, runner.recover, _read_exact(runner)
 
 
 def _circuit_backend(config, scenario, a, u0, dt, probes, manifest):
@@ -262,9 +268,8 @@ def _circuit_backend(config, scenario, a, u0, dt, probes, manifest):
     h1_blocks, h2_blocks = runner.pair.blocks
     manifest["blocks_per_step"] = {"skew_part": len(h2_blocks), "symmetric_part": len(h1_blocks)}
     manifest["gate_stats_per_step"] = gate_stats(runner.step_circuit)
-    recover = partial(runner.recover, config.recovery_mode)
     if not probes:
-        return runner, recover, None
+        return runner, runner.recover, None
     response = OracleRunner(a, unit_offset_state(u0.layout, reference.component), dt)
     rng = np.random.default_rng(config.seed)
 
@@ -276,7 +281,7 @@ def _circuit_backend(config, scenario, a, u0, dt, probes, manifest):
         pipe = pipeline_state(runner, c, offset_response(), reference)
         writer.signed(runner.time, pipe, config.shots, rng)
 
-    return runner, lambda: remove_offset(recover(), c, offset_response()), read
+    return runner, lambda: remove_offset(runner.recover(), c, offset_response()), read
 
 
 BACKENDS = {
@@ -356,7 +361,6 @@ def execute_table(config: RunConfig, dts, times) -> Path:
         dts,
         times,
         config.register,
-        recovery_mode=config.recovery_mode,
         weights=_weights(config, scenario),
     )
     path = _resolve_outdir(config) / "error_table.csv"

@@ -4,8 +4,9 @@ The generator splits as ``A = H1 + i H2`` with both parts Hermitian.  An
 auxiliary variable ``p`` carries the non-unitary part: the lifted profile
 ``e^{-|p|} u`` obeys a transport equation in ``p`` that a Fourier transform
 decouples into one Hermitian generator ``xi*H1 + H2`` per frequency.  The
-physical solution is read back from a single ``p`` slice above the spectral
-bound of ``H1`` and rescaled by ``e^{p}``.
+physical solution is read back above the spectral bound of ``H1`` by the
+register's recovery rule: from the single slice ``p*`` rescaled by ``e^{p*}``,
+or by a least-squares fit over every slice above the bound.
 
 The ``p`` grid is uniform and cell-centered on ``[p_min, p_max)`` so that the
 default symmetric window samples ``e^{-|p|}`` evenly and always contains a
@@ -92,17 +93,23 @@ def lifted_hamiltonian(pair: HermitianPair, xi: float) -> sp.csr_matrix:
     return (xi * pair.h1 + pair.h2).tocsr()
 
 
+RECOVERY_MODES = ("single", "lsq")
+
+
 @dataclass(frozen=True)
 class PRegister:
-    """Uniform cell-centered auxiliary grid with its Fourier frequencies."""
+    """Uniform cell-centered auxiliary grid, its Fourier frequencies and its ``recovery`` rule."""
 
     n_a: int
     p_min: float = -math.pi
     p_max: float = math.pi
+    recovery: str = "single"
 
     def __post_init__(self):
         if self.n_a < 1:
             raise ValueError("need at least one auxiliary qubit")
+        if self.recovery not in RECOVERY_MODES:
+            raise ValueError(f"unknown recovery mode {self.recovery!r}")
         if not (math.isfinite(self.p_min) and math.isfinite(self.p_max)):
             raise ValueError("p window must be finite")
         if self.p_max <= self.p_min:
@@ -222,14 +229,15 @@ class LiftedRunner:
     def time(self) -> float:
         return self.steps_done * self.dt
 
-    def recover(self, mode: str = "single") -> FieldState:
-        """Physical field at the current time."""
-        return recover_solution(
-            self.psi, self.reg, self.pair, self.time, self.norm, self.layout, mode
-        )
+    def recover(self) -> FieldState:
+        """Physical field at the current time, read by the register's recovery rule."""
+        return recover_solution(self.psi, self.reg, self.pair, self.time, self.norm, self.layout)
 
     def readout(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``p*`` slice of ``psi`` and each sample's physical scale ``e^{p*} * norm / w``."""
+        """The ``p*`` slice of ``psi`` and each sample's physical scale ``e^{p*} * norm / w``.
+
+        Sign readout needs one slice, so this reads ``p*`` whatever ``reg.recovery``.
+        """
         feasible_bound(self.pair, self.reg, self.time)
         amps = self.psi.reshape(self.reg.n_points, -1)[self.reg.p_star_index]
         return amps, math.exp(self.reg.p_star) * self.norm / self.pair.weights
@@ -244,37 +252,27 @@ class LiftedExactRunner(LiftedRunner):
         self.steps_done += steps
 
 
-RECOVERY_MODES = ("single", "lsq")
-
-
 def recover_solution(
-    v: np.ndarray,
-    reg: PRegister,
-    pair: HermitianPair,
-    t: float,
-    norm: float,
-    layout: FieldLayout,
-    mode: str = "single",
+    v: np.ndarray, reg: PRegister, pair: HermitianPair, t: float, norm: float, layout: FieldLayout
 ) -> FieldState:
     """Read the physical field at time ``t`` back from the lifted state ``v``.
 
-    ``mode="single"`` evaluates the recovery point ``p*`` (``reg.p_star``)
-    and rescales by ``e^{p*}``; it must lie above the spectral bound or
-    recovery is refused.  ``mode="lsq"`` solves the least-squares fit over
-    every point above the bound instead.  ``norm`` restores the physical
-    scale of the normalized state, and dividing by ``pair.weights`` undoes
-    the similarity scaling the pair was split under.  The imaginary residue,
-    pure p-discretization noise, is dropped.
+    ``reg.recovery`` (one of ``RECOVERY_MODES``) picks the rule.  ``"single"``
+    evaluates the recovery point ``p*`` (``reg.p_star``) and rescales by
+    ``e^{p*}``; it must lie above the spectral bound or recovery is refused.
+    ``"lsq"`` solves the least-squares fit over every point above the bound
+    instead.  ``norm`` restores the physical scale of the normalized state,
+    and dividing by ``pair.weights`` undoes the similarity scaling the pair
+    was split under.  The imaginary residue, pure p-discretization noise, is
+    dropped.
     """
     v = np.asarray(v, dtype=complex).reshape(reg.n_points, -1)
     bound = feasible_bound(pair, reg, t)
     p = reg.p_values
-    if mode == "single":
+    if reg.recovery == "single":
         u = math.exp(reg.p_star) * norm * v[reg.p_star_index]
-    elif mode == "lsq":
+    else:
         sel = p > bound
         w = np.exp(-p[sel])
         u = (w[:, None] * (norm * v[sel])).sum(axis=0) / np.sum(w * w)
-    else:
-        raise ValueError(f"unknown recovery mode {mode!r}")
     return FieldState(values=u.real / pair.weights, layout=layout, time=t)

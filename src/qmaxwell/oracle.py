@@ -141,7 +141,6 @@ def trotter_error_table(
     dts,
     times,
     reg: PRegister,
-    recovery_mode: str = "single",
     weights: np.ndarray | None = None,
 ) -> ErrorTable:
     """Run the circuit pipeline over (dt, T) pairs and tabulate recovery errors.
@@ -149,8 +148,8 @@ def trotter_error_table(
     Horizons must be multiples of each step size (ConfigError otherwise),
     checked for every pair before any evolution.  The generator is compiled
     once; one runner per dt walks the requested horizons in order against
-    one exact reference per horizon.  ``weights`` runs it in
-    similarity-scaled variables (see ``TrotterRunner``).
+    one exact reference per horizon, read back by ``reg``'s recovery rule.
+    ``weights`` runs it in similarity-scaled variables (see ``TrotterRunner``).
     """
     layout = u0.layout
     times = sorted(times)
@@ -162,16 +161,15 @@ def trotter_error_table(
         runner = TrotterRunner(pair, u0, reg, dt)
         for t_target, s, reference in zip(times, dt_steps, references):
             runner.advance(s - runner.steps_done)
-            recovered = runner.recover(mode=recovery_mode)
             rows.append(
-                ErrorRow(time=t_target, dt=dt, errors=component_errors(recovered, reference))
+                ErrorRow(time=t_target, dt=dt, errors=component_errors(runner.recover(), reference))
             )
     table = ErrorTable(components=layout.components, rows=tuple(rows))
     table.check_monotone()
     return table
 
 
-_PLANES = {"xy": (1, 0), "xz": (2, 0), "yz": (2, 1)}
+_PLANES = ("xy", "xz", "yz")
 
 
 def snapshot(state: FieldState, component: Component, plane: str = "xy", index: int = 0):

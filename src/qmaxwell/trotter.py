@@ -32,7 +32,7 @@ def xi_bit_scales(reg: PRegister) -> list[float]:
     """Frequency contribution of each auxiliary bit (two's complement)."""
     base = 2.0 * math.pi / (reg.n_points * reg.dp)
     scales = [base * (1 << j) for j in range(reg.n_a - 1)]
-    scales.append(-base * (1 << (reg.n_a - 1)) if reg.n_a > 1 else -base)
+    scales.append(-base * (1 << (reg.n_a - 1)))
     return scales
 
 

@@ -281,3 +281,9 @@ def test_compiled_blocks_pinned():
                     n_blocks += 1
     assert n_blocks == 6630
     assert h.hexdigest() == "6530e135773100b88b5572689fba04c73b9b117592272f41a9421a38ed96612b"
+
+
+@pytest.mark.parametrize("h", [np.zeros((2, 4)), np.eye(3)], ids=["non-square", "not-power-of-two"])
+def test_compile_blocks_refuses_shape(h):
+    with pytest.raises(ValueError):
+        compile_blocks(h)

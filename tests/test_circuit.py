@@ -296,3 +296,18 @@ class TestStats:
         u1 = circuit_unitary(c)
         u2 = circuit_unitary(lowered)
         assert np.linalg.norm(u1 - u2) < 1e-11
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Gate("foo", (0,)),
+        lambda: Gate(MCRZ, (0, 1, 2), 0.1, (1,)),
+        lambda: simulate(Circuit(2, ()), np.zeros(3, dtype=complex)),
+        lambda: mcrz_lowering(Gate(X, (0,)), 1),
+    ],
+    ids=["unknown-kind", "too-few-polarities", "state-shape", "lower-non-mcrz"],
+)
+def test_typed_refusals(build):
+    with pytest.raises(QmaxwellError):
+        build()

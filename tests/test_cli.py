@@ -293,6 +293,18 @@ class TestCompare:
             assert main(["compare", *map(str, pair), "--outdir", str(report)]) == 2
             assert not report.exists()
 
+    def test_probe_rows_missing_from_b_skipped(self, tmp_path):
+        # Run b probes every other step, so it lacks run a's rows at odd steps.
+        execute_run(small_run_config(tmp_path, outdir=str(tmp_path / "a"), backend="oracle"))
+        execute_run(small_run_config(tmp_path, outdir=str(tmp_path / "b"), backend="oracle", probe_every=2))
+        report = execute_compare(str(tmp_path / "a"), str(tmp_path / "b"), str(tmp_path / "cmp"))
+        overlay = (tmp_path / "cmp" / "probes_overlay.csv").read_text().splitlines()[1:]
+        rows_b = (tmp_path / "b" / "probes.csv").read_text().splitlines()[1:]
+        assert len(overlay) == len(rows_b) == 6
+        assert [r.split(",")[0] for r in overlay] == [r.split(",")[0] for r in rows_b]
+        # The oracle steps b in twos, so its rows differ from a's by rounding only.
+        assert report["probes"]["indeterminate"] == 0 and report["probes"]["linf"] < 1e-12
+
     def test_layout_mismatch_rejected(self, tmp_path):
         c1 = small_run_config(tmp_path, outdir=str(tmp_path / "a"))
         c2 = small_run_config(tmp_path, nx=8, ny=8, outdir=str(tmp_path / "b"))
@@ -327,7 +339,7 @@ class TestTableAndStats:
         table = trotter_error_table(
             assemble_generator(scenario.spec),
             pack_initial_condition(scenario.spec, list(scenario.impulses)),
-            [0.1], [0.5], PRegister(3, -4.0, 4.0), recovery_mode="lsq",
+            [0.1], [0.5], PRegister(3, -4.0, 4.0, "lsq"),
             weights=symmetrizing_weights(scenario.spec),
         )
         table.to_csv(tmp_path / "lib.csv")
@@ -380,9 +392,14 @@ class TestMain:
         def no_register(*args):
             raise AssertionError("the register was built before its size was checked")
 
+        def no_field(*args):
+            raise AssertionError("the initial field was built before the grid size was checked")
+
         cwd = tmp_path / "cwd"
         cwd.mkdir()
         monkeypatch.chdir(cwd)
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text("{not json")
         unstepped = ["run", "--scenario", "2d-scatterer", "--nx", "8"]
         scatterer = [*unstepped, "--steps", "2"]
         probed = [*scatterer, "--probes", "Ez:1:1"]
@@ -406,6 +423,13 @@ class TestMain:
             (scatterer + ["--nx", "4"], None),
             (["run", "--scenario", "3d-empty", "--nx", "4", "--nz", "2", "--steps", "1"], None),
             (["stats", "--scenario", "2d-empty", "--nx", "4", "--n-a", "40"], None),
+            (empty + ["--nx", "65536"], None),
+            (empty + ["--nx", "4", "--steps", "-1"], None),
+            (probed + ["--offset", "0"], None),
+            (probed + ["--offset", "-1"], None),
+            (probed + ["--probe-every", "0"], None),
+            (scatterer + ["--config", str(tmp_path / "missing.json")], None),
+            (scatterer + ["--config", str(malformed)], None),
             (scatterer + ["--dt", "nan"], None),
             (scatterer + ["--dt", "inf"], None),
             (scatterer + ["--p-min", "nan"], None),
@@ -448,9 +472,18 @@ class TestMain:
             with monkeypatch.context() as patch:
                 if "--n-a" in args:
                     patch.setattr("qmaxwell.cli.PRegister", no_register)
+                if "65536" in args:
+                    patch.setattr("qmaxwell.cli.pack_initial_condition", no_field)
                 assert main(argv) == 2, (args, config)
             assert not out.exists() or not any(out.iterdir()), (args, config)
         assert not any(cwd.iterdir())
+
+    def test_oversized_refusal_names_what_is_too_large(self, capsys, monkeypatch):
+        monkeypatch.setattr("qmaxwell.cli.pack_initial_condition", lambda *args: None)
+        assert main(["run", "--scenario", "2d-empty", "--nx", "65536"]) == 2
+        assert "bad grid: 34 qubits exceed the cap" in capsys.readouterr().err
+        assert main(["stats", "--scenario", "2d-empty", "--nx", "4", "--n-a", "40"]) == 2
+        assert "6 grid plus 40 auxiliary qubits exceed the cap" in capsys.readouterr().err
 
     def test_infeasible_recovery_exit_three(self, tmp_path, capsys):
         # Unweighted scatterer-free run with a window below the spectral bound.

@@ -8,6 +8,7 @@ from qmaxwell.grid import (
     Boundaries,
     Component,
     FieldLayout,
+    FieldState,
     GridSpec,
     ScattererBox,
     pack_initial_condition,
@@ -213,3 +214,20 @@ class TestActiveMask:
                 assert layout.is_active(comp, i, j, k) == mask[flat]
                 assert is_pad(layout, comp, i, j, k) == pads[flat]
         assert not mask[len(layout.components) * layout.block_size :].any()
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: GridSpec(nx=4, ny=4, dim=4), GridError),
+        (lambda: spec2d(dx=0.0), GridError),
+        (lambda: ScattererBox((1, 1), (3, 3), faces="foo"), GridError),
+        (lambda: ScattererBox((1, 1, 0), (3, 3)), GridError),
+        (lambda: pack_initial_condition(spec2d(), [(Component.EZ, 1, 1, 1, 1.0)]), PlacementError),
+        (lambda: FieldState(np.zeros(3), FieldLayout(spec2d())), GridError),
+    ],
+    ids=["dim-4", "dx-0", "box-faces", "box-corner", "impulse-k-in-2d", "state-length"],
+)
+def test_typed_refusals(build, error):
+    with pytest.raises(error):
+        build()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -364,8 +365,9 @@ class TestRecovery:
         u0 = rng.standard_normal(6)
         runner = LiftedExactRunner(pair, flat_state(u0), reg, 0.8)
         runner.advance(1)
-        r1 = runner.recover(mode="single")
-        r2 = runner.recover(mode="lsq")
+        r1 = runner.recover()
+        runner.reg = dataclasses.replace(reg, recovery="lsq")
+        r2 = runner.recover()
         assert np.linalg.norm(r1.values - r2.values) < 1e-9
 
     def test_recovery_bound_uses_positive_part(self):
@@ -382,3 +384,13 @@ class TestRecovery:
         rec = recover_solution(runner.psi, reg, pair, 0.0, runner.norm, layout)
         assert rec.layout is layout and rec.time == 0.0
         assert abs(rec.at(Component.EZ, 1, 1) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [dict(n_a=0), dict(n_a=1, recovery="foo")],
+    ids=["no-auxiliary-qubit", "unknown-recovery"],
+)
+def test_pregister_refusals(kw):
+    with pytest.raises(ValueError):
+        PRegister(**kw)

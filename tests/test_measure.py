@@ -301,3 +301,10 @@ class TestRunnerReadout:
             pipeline_state(runner, 1.5, response, ProbeRequest(Component.EZ, 2, 2))
         assert rec.value.required_p == probe.value.required_p == 0.5
         assert str(rec.value) == str(probe.value)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_remove_offset_refuses_nonpositive_c(c):
+    state = impulse_state(GridSpec(nx=4, ny=4), 1, 1)
+    with pytest.raises(ValueError):
+        remove_offset(state, c, state)

@@ -408,3 +408,13 @@ def test_body_sweep_arrays_pinned():
             for m in (a, apply_weights(a, symmetrizing_weights(spec))):
                 h.update(_csr_digest(m).encode())
     assert h.hexdigest() == "d2bda47eeceb2fed7ac887194b835d62212fb4a5dbba23f1f826f1eb3a2b8f5b"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(4, 1.0, "diagonal"), (4, 1.0, NODE_TO_EDGE, "foo"), (4, 1.0, EDGE_TO_NODE, "pmc", "foo")],
+    ids=["orientation", "bc-lo", "bc-hi"],
+)
+def test_staggered_derivative_refusals(args):
+    with pytest.raises(GridError):
+        staggered_derivative(*args)
