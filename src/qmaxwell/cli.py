@@ -36,7 +36,7 @@ from .measure import (
     unit_offset_state,
 )
 from .operators import assemble_generator, skew_defect, symmetrizing_weights
-from .oracle import DIMENSION_CAP, OracleRunner, grid_step, snapshot, trotter_error_table
+from .oracle import DIMENSION_CAP, PLANES, OracleRunner, grid_step, snapshot, trotter_error_table
 from .scenarios import SCENARIO_NAMES, build_scenario
 from .trotter import TrotterRunner, emit_trotter_circuit
 
@@ -53,7 +53,6 @@ _FIELD_TYPES = {
     "snapshot_times": (lambda v: isinstance(v, list) and all(map(_REAL[0], v)), "a list of finite numbers"),
     **dict.fromkeys(("scenario", "outdir"), (lambda v: isinstance(v, str), "a string")),
     "backend": (lambda v: isinstance(v, str) and v in BACKENDS, "a known backend"),
-    "recovery_mode": (lambda v: v in RECOVERY_MODES, " or ".join(map(repr, RECOVERY_MODES))),
 }
 
 
@@ -82,10 +81,10 @@ class RunConfig:
     def validate(self):
         """Check every setting; returns ``self``.
 
-        The scenario (``built_scenario``) and the auxiliary ``register`` are
-        built here, once.  The grid's qubits, then those plus ``n_a``, are
-        checked against ``DIMENSION_CAP`` by arithmetic, before the initial
-        field or the register's ``2**n_a`` grid points are allocated.
+        The scenario (``built_scenario``), its initial field ``u0`` and the
+        auxiliary ``register`` are built here, once.  The grid's qubits, then
+        those plus ``n_a``, are checked against ``DIMENSION_CAP`` by arithmetic
+        before the field or the register's ``2**n_a`` points are allocated.
         """
         for name, (check, wanted) in _FIELD_TYPES.items():
             value = getattr(self, name)  # a field whose default is None may be None
@@ -98,7 +97,7 @@ class RunConfig:
             if n_sys > cap:
                 raise GridError(f"{n_sys} qubits exceed the cap of {DIMENSION_CAP}")
             # Small grids can put the scenario's impulse on a pad slot.
-            pack_initial_condition(self.built_scenario.spec, list(self.built_scenario.impulses))
+            self.u0 = pack_initial_condition(self.built_scenario.spec, list(self.built_scenario.impulses))
         except GridError as e:
             raise ConfigError(f"bad grid: {e}") from e
         if self.dt is not None and self.dt <= 0:
@@ -175,19 +174,16 @@ def _write_grid_csv(path: Path, array: np.ndarray) -> None:
 
 
 def _snapshot_files(outdir: Path, state: FieldState, time: float) -> list[str]:
+    """One CSV per component and cut: the whole grid in 2D, each mid-plane in 3D."""
     spec = state.layout.spec
+    mids = {plane: spec.shape[::-1][axis] // 2 for plane, axis in PLANES.items()}  # (nz, ny, nx)
+    cuts = {f"_{p}{i}": (p, i) for p, i in mids.items()} if spec.dim == 3 else {"": ("xy", 0)}
     files = []
     for comp in state.layout.components:
-        if spec.dim == 2:
-            name = f"{comp.value}_T{time:g}.csv"
-            _write_grid_csv(outdir / name, snapshot(state, comp))
+        for suffix, (plane, idx) in cuts.items():
+            name = f"{comp.value}_T{time:g}{suffix}.csv"
+            _write_grid_csv(outdir / name, snapshot(state, comp, plane, idx))
             files.append(name)
-        else:
-            centers = {"xy": spec.nz // 2, "xz": spec.ny // 2, "yz": spec.nx // 2}
-            for plane, idx in centers.items():
-                name = f"{comp.value}_T{time:g}_{plane}{idx}.csv"
-                _write_grid_csv(outdir / name, snapshot(state, comp, plane, idx))
-                files.append(name)
     return files
 
 
@@ -312,7 +308,7 @@ def execute_run(config: RunConfig) -> dict:
     outdir = _resolve_outdir(config)
 
     a = assemble_generator(spec)
-    u0 = pack_initial_condition(spec, list(scenario.impulses))
+    u0 = config.u0
 
     manifest = {
         "scenario": scenario.name,
@@ -357,7 +353,7 @@ def execute_table(config: RunConfig, dts, times) -> Path:
     scenario = config.built_scenario
     table = trotter_error_table(
         assemble_generator(scenario.spec),
-        pack_initial_condition(scenario.spec, list(scenario.impulses)),
+        config.u0,
         dts,
         times,
         config.register,

@@ -53,18 +53,14 @@ COMPONENTS_3D = (
 )
 
 # Axes (0=x, 1=y, 2=z) along which a component sits at half-integer offsets.
-_STAGGER_3D = {
+# A 2D grid is one z sample thick, so it keeps the axes below 2.
+_STAGGER = {
     Component.EX: (0,),
     Component.EY: (1,),
     Component.EZ: (2,),
     Component.HX: (1, 2),
     Component.HY: (0, 2),
     Component.HZ: (0, 1),
-}
-_STAGGER_2D = {
-    Component.EZ: (),
-    Component.HX: (1,),
-    Component.HY: (0,),
 }
 
 
@@ -195,13 +191,12 @@ class GridSpec:
         return COMPONENTS_2D if self.dim == 2 else COMPONENTS_3D
 
     def staggered_axes(self, component: Component) -> tuple[int, ...]:
-        table = _STAGGER_2D if self.dim == 2 else _STAGGER_3D
-        if component not in table:
+        if component not in self.components:
             raise GridError(f"component {component} not present in {self.dim}D mode")
-        return table[component]
+        return tuple(ax for ax in _STAGGER[component] if ax < self.dim)
 
 
-_E_COMPONENTS = (Component.EX, Component.EY, Component.EZ)
+E_COMPONENTS = (Component.EX, Component.EY, Component.EZ)
 
 
 class SampleClass(NamedTuple):
@@ -276,7 +271,7 @@ class FieldLayout:
         """
         spec = self.spec
         stag = spec.staggered_axes(component)
-        is_e = component in _E_COMPONENTS
+        is_e = component in E_COMPONENTS
         idx = (i, j, k)
         pad = pec = interior = False
         pmc_faces = 0

@@ -133,6 +133,11 @@ class PRegister:
         return self.p_min + (k + 0.5) * self.dp
 
     @property
+    def profile(self) -> np.ndarray:
+        """The lift profile ``e^{-|p|}`` on the grid: slice weights of the lifted state."""
+        return np.exp(-np.abs(self.p_values))
+
+    @property
     def p_star_index(self) -> int:
         """Slice of the recovery point ``p*``, the largest grid point."""
         return self.n_points - 1
@@ -219,7 +224,7 @@ class LiftedRunner:
         u = pair.weights * u0.values
         if np.linalg.norm(u) == 0:
             raise ValueError("cannot lift a zero-norm initial state")
-        joint = np.kron(np.exp(-np.abs(reg.p_values)), u).astype(complex)
+        joint = np.kron(reg.profile, u).astype(complex)
         self.norm = float(np.linalg.norm(joint))
         self.pair, self.psi = pair, joint / self.norm
         self.reg, self.dt, self.layout = reg, dt, u0.layout
@@ -268,11 +273,10 @@ def recover_solution(
     """
     v = np.asarray(v, dtype=complex).reshape(reg.n_points, -1)
     bound = feasible_bound(pair, reg, t)
-    p = reg.p_values
     if reg.recovery == "single":
         u = math.exp(reg.p_star) * norm * v[reg.p_star_index]
     else:
-        sel = p > bound
-        w = np.exp(-p[sel])
+        sel = reg.p_values > bound
+        w = reg.profile[sel]
         u = (w[:, None] * (norm * v[sel])).sum(axis=0) / np.sum(w * w)
     return FieldState(values=u.real / pair.weights, layout=layout, time=t)

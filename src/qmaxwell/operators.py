@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GridError
-from .grid import PEC, PMC, Component, FieldLayout, GridSpec
+from .grid import E_COMPONENTS, PEC, PMC, Component, FieldLayout, GridSpec
 
 NODE_TO_EDGE = "node_to_edge"
 EDGE_TO_NODE = "edge_to_node"
@@ -153,7 +153,7 @@ def assemble_generator(spec: GridSpec) -> sp.csr_matrix:
     inv = {True: 1.0 / spec.epsilon, False: 1.0 / spec.mu}
     grid = [[None] * layout.n_blocks for _ in range(layout.n_blocks)]
     for r, comp in enumerate(comps):
-        is_e = comp in (Component.EX, Component.EY, Component.EZ)
+        is_e = comp in E_COMPONENTS
         orientation = EDGE_TO_NODE if is_e else NODE_TO_EDGE
         for src, axis, sign in _CURL[comp]:
             if src in comps:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from .errors import ConfigError
+from .errors import ConfigError, GridError
 from .grid import Component, FieldState
 from .lifting import PRegister, hermitian_split
 from .operators import as_csr
@@ -169,28 +169,22 @@ def trotter_error_table(
     return table
 
 
-_PLANES = ("xy", "xz", "yz")
+# Each cut plane's axis in a component block shaped (nz, ny, nx).
+PLANES = {"xy": 0, "xz": 1, "yz": 2}
 
 
 def snapshot(state: FieldState, component: Component, plane: str = "xy", index: int = 0):
-    """Extract one component on the full 2D grid or a 3D cross-section.
+    """Extract one component on a cut plane; a 2D grid is its own "xy" plane at index 0.
 
-    ``plane`` selects the cut in 3D ("xy" at a z index, "xz" at a y index,
-    "yz" at an x index); rows of the returned array run along the plane's
-    second letter, columns along the first.
+    ``plane`` selects the cut ("xy" at a z index, "xz" at a y index, "yz" at
+    an x index); rows of the returned array run along the plane's second
+    letter, columns along the first.  An unknown plane or an index off the
+    grid is a GridError.
     """
-    spec = state.layout.spec
     arr = state.component(component)  # (nz, ny, nx)
-    if spec.dim == 2:
-        return arr[0].copy()
-    if plane not in _PLANES:
-        raise ValueError(f"unknown plane {plane!r}")
-    limit = {"xy": spec.nz, "xz": spec.ny, "yz": spec.nx}[plane]
-    if not 0 <= index < limit:
-        raise ValueError(f"plane index {index} out of range for {plane}")
-    if plane == "xy":
-        return arr[index].copy()
-    if plane == "xz":
-        return arr[:, index, :].copy()
-    return arr[:, :, index].copy()
-
+    if plane not in PLANES:
+        raise GridError(f"unknown plane {plane!r}")
+    axis = PLANES[plane]
+    if not 0 <= index < arr.shape[axis]:
+        raise GridError(f"plane index {index} out of range for {plane}")
+    return np.take(arr, index, axis)

@@ -105,8 +105,7 @@ def amplitude_prep_gates(amps: np.ndarray, offset: int) -> list[Gate]:
 
 def ancilla_prep_gates(reg: PRegister, n_sys: int) -> list[Gate]:
     """Gates loading the lift profile e^{-|p|} onto the auxiliary register."""
-    amps = np.exp(-np.abs(reg.p_values))
-    amps = amps / np.linalg.norm(amps)
+    amps = reg.profile / np.linalg.norm(reg.profile)
     if reg.n_a == 1 and abs(amps[0] - amps[1]) < 1e-15:
         return [Gate(SUPERPOSE, (n_sys,))]
     return amplitude_prep_gates(amps, n_sys)

@@ -216,6 +216,29 @@ class TestActiveMask:
         assert not mask[len(layout.components) * layout.block_size :].any()
 
 
+# Axes (0=x, 1=y, 2=z) along which each 3D component sits at half-integer offsets.
+_STAGGER_3D = {
+    Component.EX: (0,),
+    Component.EY: (1,),
+    Component.EZ: (2,),
+    Component.HX: (1, 2),
+    Component.HY: (0, 2),
+    Component.HZ: (0, 1),
+}
+
+
+@pytest.mark.parametrize("comp", list(Component), ids=str)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_staggered_axes_are_3d_axes_below_dim(dim, comp):
+    """A 2D grid is one z sample thick: it keeps the 3D stagger axes below 2 and refuses E_x, E_y, H_z."""
+    spec = spec2d() if dim == 2 else spec3d()
+    if comp in spec.components:
+        assert spec.staggered_axes(comp) == tuple(ax for ax in _STAGGER_3D[comp] if ax < dim)
+    else:
+        with pytest.raises(GridError, match="not present in 2D"):
+            spec.staggered_axes(comp)
+
+
 @pytest.mark.parametrize(
     "build, error",
     [

@@ -99,6 +99,11 @@ class TestPRegister:
         reg = PRegister(n_a=2)
         assert np.allclose(reg.xi_values, 2 * math.pi * np.fft.fftfreq(4, reg.dp))
 
+    def test_profile_is_decay_of_abs_p(self):
+        reg = PRegister(n_a=3, p_min=-2.0, p_max=4.0)
+        expected = [math.exp(-abs(p)) for p in reg.p_values]
+        np.testing.assert_allclose(reg.profile, expected, rtol=1e-15, atol=0)
+
 
 def lift(u0, reg: PRegister) -> LiftedRunner:
     """The runner's lifted state of a bare vector, unweighted (a zero generator's pair)."""
@@ -133,6 +138,16 @@ class TestInitialLiftedState:
         v = (lifted.psi * lifted.norm).reshape(8, 8)
         for k, p in enumerate(reg.p_values):
             assert np.isclose(np.linalg.norm(v[k]), math.exp(-abs(p)) * np.linalg.norm(u0))
+
+    def test_slices_are_profile_times_weighted_field(self):
+        spec = GridSpec(nx=4, ny=4, dim=2)
+        pair = hermitian_split(assemble_generator(spec), symmetrizing_weights(spec))
+        u0 = pack_initial_condition(spec, [(Component.EZ, 0, 1, 0, 1.0), (Component.HX, 2, 0, 0, -0.5)])
+        reg = PRegister(n_a=2, p_min=-1.0, p_max=3.0)
+        runner = LiftedRunner(pair, u0, reg, 0.1)
+        slices = runner.psi.reshape(reg.n_points, -1)
+        for k in range(reg.n_points):
+            assert np.array_equal(slices[k], reg.profile[k] * (pair.weights * u0.values) / runner.norm)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
 
+from qmaxwell.errors import GridError
 from qmaxwell.grid import Component, FieldLayout, GridSpec, pack_initial_condition
 from qmaxwell.lifting import PRegister
 from qmaxwell.operators import assemble_generator, symmetrizing_weights
@@ -185,6 +186,12 @@ class TestSnapshots:
             snapshot(u0, Component.EZ, "diag", 0)
         with pytest.raises(ValueError):
             snapshot(u0, Component.EZ, "xy", 9)
+        # A 2D grid is one z sample thick: its only "xy" cut is index 0.
+        flat = impulse(GridSpec(nx=4, ny=4, dim=2), 1, 1)
+        for plane, index in (("diag", 0), ("xy", 3), ("xy", 1), ("xz", 4)):
+            with pytest.raises(GridError):
+                snapshot(flat, Component.EZ, plane, index)
+        assert snapshot(flat, Component.EZ, "xz", 0).shape == (1, 4)
 
     def test_mirror_symmetry_of_centered_impulse(self):
         # Centered excitation on a symmetric cavity: the electric field at a
