@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from .bell import BellBlock, compile_blocks, order_blocks
-from .errors import HermiticityError, RecoveryInfeasibleError
+from .errors import ConfigError, HermiticityError, RecoveryInfeasibleError
 from .grid import FieldLayout, FieldState
 from .operators import apply_weights, as_csr
 
@@ -209,6 +209,16 @@ def feasible_bound(pair: HermitianPair, reg: PRegister, t: float) -> float:
     return bound
 
 
+def check_step_count(steps: int) -> None:
+    """Refuse a negative step count with ConfigError, before a runner's state or clock moves.
+
+    Every runner's ``advance`` steps forward only: a negative count would
+    set the clock back without a flow that evolves the state with it.
+    """
+    if steps < 0:
+        raise ConfigError(f"cannot advance by {steps} steps; the step count must be nonnegative")
+
+
 class LiftedRunner:
     """The lifted state of ``D u0`` and its read-back; subclasses supply ``advance``.
 
@@ -252,6 +262,7 @@ class LiftedExactRunner(LiftedRunner):
     """Lifted runner without a circuit: ``evolve_lifted_exact`` by ``steps * dt``."""
 
     def advance(self, steps: int) -> None:
+        check_step_count(steps)
         if steps:
             self.psi = evolve_lifted_exact(self.pair, self.reg, self.psi, steps * self.dt)
         self.steps_done += steps

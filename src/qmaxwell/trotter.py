@@ -25,7 +25,7 @@ import numpy as np
 from .bell import BellBlock
 from .circuit import FOURIER, MCRZ, PHASE, SUPERPOSE, Circuit, Gate, rz, simulate
 from .grid import FieldState
-from .lifting import HermitianPair, LiftedRunner, PRegister, hermitian_split
+from .lifting import HermitianPair, LiftedRunner, PRegister, check_step_count, hermitian_split
 
 
 def xi_bit_scales(reg: PRegister) -> list[float]:
@@ -153,6 +153,7 @@ class TrotterRunner(LiftedRunner):
         return TrotterRunner(hermitian_split(a, weights), u0, reg, dt)
 
     def advance(self, steps: int) -> None:
+        check_step_count(steps)
         for _ in range(steps):
             self.psi = simulate(self.step_circuit, self.psi, check_norm=False)
         self.steps_done += steps

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qmaxwell.cli import (
     RunConfig,
@@ -156,6 +157,21 @@ class TestRun:
             exact = exact_evolution(a, u0, step * 0.1)
             want = exact.at(Component(r["component"]), int(r["i"]), int(r["j"]))
             assert abs(float(r["value"]) - want) <= 1e-12
+
+    def test_oracle_run_exponentiates_once(self, tmp_path, monkeypatch):
+        import qmaxwell.oracle
+
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return expm(m)
+
+        monkeypatch.setattr(qmaxwell.oracle, "expm", counted)
+        argv = ["run", "--scenario", "2d-scatterer", "--backend", "oracle", "--steps", "10"]
+        probes = ["--probes", "Ez:1:1", "Hx:5:2", "Hy:1:6", "Ez:3:3"]
+        assert main([*argv, *probes, "--outdir", str(tmp_path / "run")]) == 0
+        assert calls == [(1024, 1024)]
 
     def test_circuit_probes_match_snapshots(self, tmp_path):
         # With probes the circuit evolves u0 + c * offset; snapshots must not carry the offset.

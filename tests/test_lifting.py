@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qmaxwell.errors import RecoveryInfeasibleError
+from qmaxwell.errors import ConfigError, RecoveryInfeasibleError
 from qmaxwell.grid import Component, FieldLayout, GridSpec, ScattererBox, pack_initial_condition
 from qmaxwell.lifting import (
     HermitianPair,
@@ -217,6 +217,17 @@ class TestLiftedExactRunner:
         amps, scales = runner.readout()
         scale = math.exp(runner.reg.p_star) * runner.norm
         assert scales.tobytes() == np.full(amps.shape, scale).tobytes()
+
+    def test_negative_steps_refused_with_state_and_clock_kept(self):
+        spec = GridSpec(nx=4, ny=4, dim=2)
+        u0 = pack_initial_condition(spec, [(Component.EZ, 2, 2, 0, 1.0)])
+        runner = LiftedExactRunner(hermitian_split(assemble_generator(spec)), u0, PRegister(n_a=1), 0.1)
+        runner.advance(2)
+        psi = runner.psi.copy()
+        with pytest.raises(ConfigError):
+            runner.advance(-2)
+        assert runner.steps_done == 2
+        assert runner.psi.tobytes() == psi.tobytes()
 
 
 class TestEvolveLiftedExact:

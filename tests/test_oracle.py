@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from qmaxwell.errors import GridError
+from qmaxwell import oracle
+from qmaxwell.errors import ConfigError, GridError
 from qmaxwell.grid import Component, FieldLayout, GridSpec, pack_initial_condition
 from qmaxwell.lifting import PRegister
 from qmaxwell.operators import assemble_generator, symmetrizing_weights
@@ -250,6 +252,52 @@ class TestOracleRunner:
         runner.advance(7)
         assert runner.recover().values is ones.values
         assert runner.time == pytest.approx(0.7)
+
+    @pytest.mark.parametrize("gaps", [(1,) * 10, (1, 1, 3, 3, 1)])
+    def test_steps_give_the_bytes_of_chained_flows(self, gaps):
+        spec = GridSpec(nx=8, ny=8, dim=2)
+        a = assemble_generator(spec)
+        state = impulse(spec, 3, 4)
+        runner = OracleRunner(a, state, 0.1)
+        for gap in gaps:
+            runner.advance(gap)
+            state = exact_evolution(a, state, gap * 0.1)
+            assert np.array_equal(runner.recover().values, state.values)
+
+    def test_dense_expm_once_per_change_of_gap(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return expm(m)
+
+        monkeypatch.setattr(oracle, "expm", counted)
+        spec = GridSpec(nx=4, ny=4, dim=2)
+        runner = OracleRunner(assemble_generator(spec), impulse(spec, 2, 2), 0.1)
+        for gap in (1, 1, 0, 1, 3, 3, 1):
+            runner.advance(gap)
+        assert len(calls) == 3
+
+    def test_krylov_branch_gives_the_bytes_of_exact_evolution(self):
+        spec = GridSpec(nx=32, ny=32, dim=2)
+        a = assemble_generator(spec)
+        assert a.shape[0] >= oracle._DENSE_LIMIT
+        state = impulse(spec, 16, 16)
+        runner = OracleRunner(a, state, 0.1)
+        for gap in (1, 1, 2):
+            runner.advance(gap)
+            state = exact_evolution(a, state, gap * 0.1)
+        assert np.array_equal(runner.recover().values, state.values)
+
+    def test_negative_steps_refused_with_state_and_clock_kept(self):
+        spec = GridSpec(nx=4, ny=4, dim=2)
+        runner = OracleRunner(assemble_generator(spec), impulse(spec, 2, 2), 0.1)
+        runner.advance(2)
+        before = runner.recover()
+        with pytest.raises(ConfigError):
+            runner.advance(-2)
+        assert runner.steps_done == 2
+        assert runner.recover().values is before.values
 
 
 def test_grid_step_rejects_off_grid_times():

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from qmaxwell.bell import compile_blocks
 from qmaxwell.circuit import FOURIER, MCRZ, Circuit, apply_gate, simulate
+from qmaxwell.errors import ConfigError
 from qmaxwell.grid import Component, GridSpec, pack_initial_condition
 from qmaxwell.lifting import (
     HermitianPair,
@@ -291,6 +292,15 @@ class TestChunkedStepping:
         for kept, now in zip(held, (psi, amps, scales, field.values)):
             assert kept.tobytes() == now.tobytes()
         assert not np.shares_memory(runner.psi, psi)
+
+    def test_negative_steps_refused_with_state_and_clock_kept(self):
+        runner = pinned_runner("2d-scatterer", 8, True, 1)
+        runner.advance(2)
+        psi = runner.psi.copy()
+        with pytest.raises(ConfigError):
+            runner.advance(-2)
+        assert runner.steps_done == 2
+        assert runner.psi.tobytes() == psi.tobytes()
 
 
 class TestEmittedCircuit:
