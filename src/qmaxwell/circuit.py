@@ -14,6 +14,10 @@ Fourier transform need):
                  ascending qubit range; simulated natively, lowered to gates
                  for statistics
 
+A ``Gate`` checks its own shape when it is built (operand count per kind,
+polarities in {0, 1}, an angle where the kind needs one, a contiguous range
+for ``fourier``), so ``simulate`` and ``gate_stats`` accept the same gates.
+
 Basis convention: bit ``i`` of the state index is qubit ``i``; auxiliary
 qubits occupy the high bits.  A statevector is a plain complex array of
 length ``2**n_qubits``.  Neither ``apply_gate`` nor ``simulate`` writes to
@@ -25,6 +29,12 @@ factors precomputed, so each call only does the arithmetic.  ``apply_gate``
 builds the same views over a copy of its argument and runs the same update,
 so both paths evaluate the same expression on the same operands and give
 the same bytes.
+
+Lowering expands ``mcrz`` (with controls) and ``fourier`` to {1-qubit, CNOT}
+(``_lowering``); ``lowered_gates`` streams the expansion.  ``gate_stats``
+lowers each distinct gate once per call: an angle changes no count and no
+layer, so gates that differ only in their angles share one lowered operand
+stream, and the greedy depth walks those streams.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import groupby
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -45,7 +55,8 @@ PHASE = "phase"
 MCRZ = "mcrz"
 FOURIER = "fourier"
 
-_KINDS = (X, SUPERPOSE, CNOT, PHASE, MCRZ, FOURIER)
+# Operand count per kind; 0 means one or more.
+_ARITY = {X: 1, SUPERPOSE: 1, CNOT: 2, PHASE: 1, MCRZ: 0, FOURIER: 0}
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
@@ -58,12 +69,23 @@ class Gate:
     inverse: bool = False
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise QmaxwellError(f"unknown gate kind {self.kind!r}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise QmaxwellError(f"gate operands must be distinct: {self.qubits}")
-        if self.kind == MCRZ and len(self.polarities) != len(self.qubits) - 1:
-            raise QmaxwellError("mcrz needs one polarity per control")
+        kind, qubits = self.kind, self.qubits
+        arity = _ARITY.get(kind)
+        if arity is None:
+            raise QmaxwellError(f"unknown gate kind {kind!r}")
+        if not qubits or (arity and len(qubits) != arity):
+            raise QmaxwellError(f"{kind} gate cannot act on {len(qubits)} operands")
+        if len(set(qubits)) != len(qubits):
+            raise QmaxwellError(f"gate operands must be distinct: {qubits}")
+        if kind in (PHASE, MCRZ) and self.angle is None:
+            raise QmaxwellError(f"{kind} gate needs an angle")
+        if kind == MCRZ:
+            if len(self.polarities) != len(qubits) - 1:
+                raise QmaxwellError("mcrz needs one polarity per control")
+            if any(p not in (0, 1) for p in self.polarities):
+                raise QmaxwellError(f"mcrz polarities must be 0 or 1: {self.polarities}")
+        elif kind == FOURIER and qubits != tuple(range(qubits[0], qubits[0] + len(qubits))):
+            raise QmaxwellError("fourier gate needs a contiguous ascending qubit range")
 
     @property
     def controls(self) -> tuple[int, ...]:
@@ -142,8 +164,6 @@ def _bind(g: Gate, buf: np.ndarray, spare: np.ndarray):
     """
     if g.kind == FOURIER:
         qubits = g.qubits
-        if qubits != tuple(range(qubits[0], qubits[0] + len(qubits))):
-            raise QmaxwellError("fourier gate needs a contiguous ascending qubit range")
         block = buf.reshape(-1, 1 << len(qubits), 1 << qubits[0])
         fft = np.fft.fft if g.inverse else np.fft.ifft
 
@@ -378,30 +398,36 @@ def qft_gates(qubits, inverse: bool = False) -> list[Gate]:
     return dagger(gates) if inverse else gates
 
 
+def _lowering(g: Gate, n_qubits: int) -> list[Gate]:
+    """``g`` in the base set {1-qubit, CNOT}: expanded if composite, else ``[g]``."""
+    if g.kind == MCRZ and g.controls:
+        return mcrz_lowering(g, n_qubits)
+    if g.kind == FOURIER:
+        return qft_gates(g.qubits, g.inverse)
+    return [g]
+
+
 def lowered_gates(circuit: Circuit):
     """Stream the circuit with every composite gate expanded to the base set."""
     for g in circuit.gates:
-        if g.kind == MCRZ and g.controls:
-            yield from mcrz_lowering(g, circuit.n_qubits)
-        elif g.kind == FOURIER:
-            yield from qft_gates(g.qubits, g.inverse)
-        else:
-            yield g
+        yield from _lowering(g, circuit.n_qubits)
 
 
-def _depth_and_counts(gates, n_qubits: int) -> tuple[int, int, int]:
-    """Greedy depth of a gate stream, its CNOT count and its count of other gates, in one pass."""
-    two = single = 0
+def _depth(operands, n_qubits: int) -> int:
+    """Greedy depth of a stream of operand tuples, one tuple per gate in order."""
     frontier = [0] * n_qubits
-    for g in gates:
-        if g.kind == CNOT:
-            two += 1
+    for qs in operands:
+        if len(qs) == 1:
+            frontier[qs[0]] += 1
+        elif len(qs) == 2:
+            a, b = qs
+            fa, fb = frontier[a], frontier[b]
+            frontier[a] = frontier[b] = (fa if fa > fb else fb) + 1
         else:
-            single += 1
-        layer = 1 + max(frontier[q] for q in g.qubits)
-        for q in g.qubits:
-            frontier[q] = layer
-    return max(frontier, default=0), two, single
+            layer = 1 + max(frontier[q] for q in qs)
+            for q in qs:
+                frontier[q] = layer
+    return max(frontier, default=0)
 
 
 def gate_stats(circuit: Circuit) -> dict:
@@ -410,14 +436,31 @@ def gate_stats(circuit: Circuit) -> dict:
     ``abstract_depth`` additionally reports the depth of the circuit as
     emitted (multi-controlled rotations and Fourier transforms counted as
     single gates), which is the granularity used for headline depth figures.
-    The lowered gates are streamed, never held as a list.
+
+    Each distinct gate is lowered once per call.  Its key leaves out the
+    angle, which changes no count and no layer; its value is the CNOT count
+    and the tuple of operand tuples of its lowering, with equal operand
+    tuples shared.  The depth then walks those streams in circuit order.
     """
-    depth, two, single = _depth_and_counts(lowered_gates(circuit), circuit.n_qubits)
-    abstract_depth, _, _ = _depth_and_counts(circuit.gates, circuit.n_qubits)
+    n = circuit.n_qubits
+    lowered: dict[tuple, tuple[int, tuple]] = {}
+    shared: dict[tuple, tuple] = {}
+    streams = []
+    two = total = 0
+    for g in circuit.gates:
+        key = (g.kind, g.qubits, g.polarities, g.inverse)
+        entry = lowered.get(key)
+        if entry is None:
+            gates = _lowering(g, n)
+            cnots = sum(1 for x in gates if x.kind == CNOT)
+            operands = tuple(shared.setdefault(x.qubits, x.qubits) for x in gates)
+            entry = lowered[key] = (cnots, operands)
+        two += entry[0]
+        total += len(entry[1])
+        streams.append(entry[1])
     return {
         "two_qubit_count": two,
-        "single_qubit_count": single,
-        "depth": depth,
-        "abstract_depth": abstract_depth,
+        "single_qubit_count": total - two,
+        "depth": _depth(chain.from_iterable(streams), n),
+        "abstract_depth": _depth((g.qubits for g in circuit.gates), n),
     }
-

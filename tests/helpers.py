@@ -5,6 +5,8 @@
 * ``normalized_cross_correlation``: cosine similarity of two snapshots;
 * ``circuit_unitary`` and ``gates_unitary``: dense unitaries of small
   circuits;
+* ``walked_stats``: gate counts and greedy depths by one plain walk, an
+  independent check of ``gate_stats``;
 * ``unpack_impulses``: the inverse of ``pack_initial_condition`` on sparse
   impulse states;
 * ``is_pad``: the pad test of one sample;
@@ -18,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from qmaxwell.bell import ID, S00, S01, S10, S11
-from qmaxwell.circuit import Circuit, simulate
+from qmaxwell.circuit import CNOT, Circuit, lowered_gates, simulate
 from qmaxwell.errors import QmaxwellError
 from qmaxwell.grid import Component, FieldLayout, FieldState
 from qmaxwell.operators import as_csr
@@ -63,6 +65,29 @@ def circuit_unitary(circuit: Circuit, max_qubits: int = 12) -> np.ndarray:
 
 def gates_unitary(gates, n_qubits: int) -> np.ndarray:
     return circuit_unitary(Circuit(n_qubits, tuple(gates)))
+
+
+def walked_stats(circuit: Circuit) -> dict:
+    """``gate_stats`` recomputed gate by gate over ``lowered_gates``, with no memo."""
+
+    def walk(gates):
+        frontier = [0] * circuit.n_qubits
+        two = count = 0
+        for g in gates:
+            two += g.kind == CNOT
+            count += 1
+            layer = 1 + max(frontier[q] for q in g.qubits)
+            for q in g.qubits:
+                frontier[q] = layer
+        return two, count, max(frontier, default=0)
+
+    two, count, depth = walk(lowered_gates(circuit))
+    return {
+        "two_qubit_count": two,
+        "single_qubit_count": count - two,
+        "depth": depth,
+        "abstract_depth": walk(circuit.gates)[2],
+    }
 
 
 def unpack_impulses(state: FieldState) -> list:

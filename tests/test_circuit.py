@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from qmaxwell.circuit import (
 )
 from qmaxwell.errors import QmaxwellError
 
-from helpers import circuit_unitary, gates_unitary
+from helpers import circuit_unitary, gates_unitary, walked_stats
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -267,7 +268,49 @@ class TestQft:
         assert np.linalg.norm(lowered - dense_gate(g, 3)) < 1e-12
 
 
+def random_gates(n, rng, count=60):
+    """Random gates of every kind on ``n`` qubits, with full-width mcrz and inverse fourier."""
+    gates = []
+    for _ in range(count):
+        kind = rng.choice([X, SUPERPOSE, PHASE, CNOT, MCRZ, FOURIER])
+        if kind in (X, SUPERPOSE, PHASE):
+            angle = float(rng.uniform(-3, 3)) if kind == PHASE else None
+            gates.append(Gate(kind, (int(rng.integers(n)),), angle))
+        elif kind == CNOT:
+            gates.append(Gate(kind, tuple(int(q) for q in rng.choice(n, size=2, replace=False))))
+        elif kind == MCRZ:
+            k = int(rng.integers(0, n))
+            qs = tuple(int(q) for q in rng.choice(n, size=k + 1, replace=False))
+            pol = tuple(int(b) for b in rng.integers(0, 2, size=k))
+            gates.append(Gate(MCRZ, qs, float(rng.uniform(-3, 3)), pol))
+        else:
+            lo = int(rng.integers(0, n - 1))
+            m = int(rng.integers(1, n - lo + 1))
+            gates.append(Gate(FOURIER, tuple(range(lo, lo + m)), inverse=bool(rng.integers(2))))
+    # Repeat the list so the same gates recur, as they do in every Trotter step.
+    return gates + gates
+
+
 class TestStats:
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_matches_independent_walk_on_random_circuits(self, n):
+        gates = random_gates(n, np.random.default_rng(5))
+        assert any(g.kind == MCRZ and len(g.qubits) == n for g in gates)
+        assert any(g.kind == FOURIER and g.inverse for g in gates)
+        c = Circuit(n, tuple(gates))
+        assert gate_stats(c) == walked_stats(c)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_angles_change_no_count(self, n):
+        rng = np.random.default_rng(9)
+        gates = random_gates(n, rng)
+        turned = [
+            dataclasses.replace(g, angle=float(rng.uniform(-3, 3))) if g.angle is not None else g
+            for g in gates
+        ]
+        assert turned != gates
+        assert gate_stats(Circuit(n, tuple(turned))) == gate_stats(Circuit(n, tuple(gates)))
+
     def test_empty_circuit(self):
         stats = gate_stats(Circuit(3, ()))
         assert stats["two_qubit_count"] == 0
@@ -305,8 +348,24 @@ class TestStats:
         lambda: Gate(MCRZ, (0, 1, 2), 0.1, (1,)),
         lambda: simulate(Circuit(2, ()), np.zeros(3, dtype=complex)),
         lambda: mcrz_lowering(Gate(X, (0,)), 1),
+        lambda: Gate(MCRZ, (0, 1), 0.3, (2,)),
+        lambda: Gate(CNOT, (0,)),
+        lambda: Gate(CNOT, (0, 1, 2)),
+        lambda: Gate(X, (0, 1)),
+        lambda: Gate(SUPERPOSE, ()),
+        lambda: Gate(PHASE, (0,)),
+        lambda: Gate(MCRZ, (0, 1), None, (1,)),
+        lambda: Gate(MCRZ, (), 0.3),
+        lambda: Gate(FOURIER, ()),
+        lambda: Gate(FOURIER, (0, 2)),
+        lambda: Gate(FOURIER, (1, 0)),
     ],
-    ids=["unknown-kind", "too-few-polarities", "state-shape", "lower-non-mcrz"],
+    ids=[
+        "unknown-kind", "too-few-polarities", "state-shape", "lower-non-mcrz",
+        "polarity-not-a-bit", "cnot-one-operand", "cnot-three-operands", "x-two-operands",
+        "superpose-no-operand", "phase-no-angle", "mcrz-no-angle", "mcrz-no-operand",
+        "fourier-no-operand", "fourier-gap", "fourier-descending",
+    ],
 )
 def test_typed_refusals(build):
     with pytest.raises(QmaxwellError):

@@ -376,6 +376,20 @@ class TestTableAndStats:
         assert stats["depth"] > 0
         assert (Path(config.outdir) / "gate_stats.json").exists()
 
+    @pytest.mark.parametrize("steps", [0, 100])
+    def test_stats_full_size_matches_benchmark_file(self, tmp_path, steps):
+        # The default 32x32 grid: the files the benchmark checks its stats run against.
+        expected = (
+            Path(__file__).resolve().parents[1]
+            / "perfbench" / "expected" / f"gate_stats-2d-empty-nxdefault-steps{steps}.json"
+        )
+        rc = main([
+            "stats", "--scenario", "2d-empty", "--steps", str(steps), "--seed", "1",
+            "--outdir", str(tmp_path / "s"),
+        ])
+        assert rc == 0
+        assert (tmp_path / "s" / "gate_stats.json").read_bytes() == expected.read_bytes()
+
     def test_stats_with_fourier_register_pinned(self, tmp_path):
         # Three auxiliary qubits: the lowered Fourier transform exchanges one qubit pair.
         rc = main([

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from qmaxwell.bell import compile_blocks
-from qmaxwell.circuit import FOURIER, MCRZ, Circuit, apply_gate, simulate
+from qmaxwell.circuit import FOURIER, MCRZ, Circuit, apply_gate, gate_stats, simulate
 from qmaxwell.errors import ConfigError
 from qmaxwell.grid import Component, GridSpec, pack_initial_condition
 from qmaxwell.lifting import (
@@ -29,7 +29,7 @@ from qmaxwell.trotter import (
 )
 import scipy.sparse as sp
 
-from helpers import circuit_unitary
+from helpers import circuit_unitary, walked_stats
 
 
 def skew(rng, n):
@@ -384,3 +384,33 @@ class TestEmittedCircuit:
         r2 = errs[0.05] / errs[0.025]
         assert 1.6 < r1 < 2.4
         assert 1.6 < r2 < 2.4
+
+
+class TestGateStats:
+    @pytest.mark.parametrize(
+        "name, weighted, n_a",
+        [("2d-empty", True, 1), ("2d-scatterer", True, 1), ("3d-empty", True, 1),
+         ("2d-scatterer", False, 3)],
+    )
+    def test_step_circuit_matches_independent_walk(self, name, weighted, n_a):
+        sc = build_scenario(name)
+        pair = hermitian_split(
+            assemble_generator(sc.spec), symmetrizing_weights(sc.spec) if weighted else None
+        )
+        n_sys = int(math.log2(pair.dim))
+        c = Circuit(n_sys + n_a, tuple(step_gates(*pair.blocks, PRegister(n_a), n_sys, sc.dt)))
+        assert gate_stats(c) == walked_stats(c)
+
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    def test_counts_add_up_over_steps(self, steps):
+        # Preparation plus ``steps`` copies of one step, count for count.
+        sc = build_scenario("2d-scatterer", nx=8)
+        pair = hermitian_split(assemble_generator(sc.spec), symmetrizing_weights(sc.spec))
+        reg, n_sys = PRegister(n_a=3), int(math.log2(pair.dim))
+        n = n_sys + reg.n_a
+        prep = gate_stats(Circuit(n, tuple(ancilla_prep_gates(reg, n_sys))))
+        step = gate_stats(Circuit(n, tuple(step_gates(*pair.blocks, reg, n_sys, sc.dt))))
+        full = gate_stats(emit_trotter_circuit(pair, reg, steps, sc.dt))
+        assert prep["two_qubit_count"] > 0 and step["two_qubit_count"] > 0
+        for key in ("two_qubit_count", "single_qubit_count"):
+            assert full[key] == prep[key] + steps * step[key]
