@@ -16,19 +16,19 @@ Fourier transform need):
 
 A ``Gate`` checks its own shape when it is built (operand count per kind,
 polarities in {0, 1}, an angle where the kind needs one, a contiguous range
-for ``fourier``), so ``simulate`` and ``gate_stats`` accept the same gates.
+for ``fourier``) and refuses a field its kind ignores (polarities outside
+``mcrz``, an angle outside ``phase`` and ``mcrz``, ``inverse`` outside
+``fourier``), so ``simulate`` and ``gate_stats`` accept the same gates and
+read them the same way.
 
 Basis convention: bit ``i`` of the state index is qubit ``i``; auxiliary
 qubits occupy the high bits.  A statevector is a plain complex array of
-length ``2**n_qubits``.  Neither ``apply_gate`` nor ``simulate`` writes to
-the array it is given, and gates apply strictly in sequence.
+length ``2**n_qubits``.  ``simulate`` does not write to the array it is
+given, and gates apply strictly in sequence.
 
 ``simulate`` binds a circuit once, on its first call (``Circuit.bound``):
 every gate becomes views of one buffer kept on the circuit, with its
-factors precomputed, so each call only does the arithmetic.  ``apply_gate``
-builds the same views over a copy of its argument and runs the same update,
-so both paths evaluate the same expression on the same operands and give
-the same bytes.
+factors precomputed, so each call only does the arithmetic.
 
 Lowering expands ``mcrz`` (with controls) and ``fourier`` to {1-qubit, CNOT}
 (``_lowering``); ``lowered_gates`` streams the expansion.  ``gate_stats``
@@ -79,6 +79,12 @@ class Gate:
             raise QmaxwellError(f"gate operands must be distinct: {qubits}")
         if kind in (PHASE, MCRZ) and self.angle is None:
             raise QmaxwellError(f"{kind} gate needs an angle")
+        if kind not in (PHASE, MCRZ) and self.angle is not None:
+            raise QmaxwellError(f"{kind} gate takes no angle")
+        if self.polarities and kind != MCRZ:
+            raise QmaxwellError(f"{kind} gate takes no polarities")
+        if self.inverse and kind != FOURIER:
+            raise QmaxwellError(f"{kind} gate has no inverse flag")
         if kind == MCRZ:
             if len(self.polarities) != len(qubits) - 1:
                 raise QmaxwellError("mcrz needs one polarity per control")
@@ -195,22 +201,14 @@ def _bind(g: Gate, buf: np.ndarray, spare: np.ndarray):
         return superpose
     if g.kind == PHASE:
         return partial(np.multiply, hi, np.exp(1j * g.angle), out=hi)
-    if g.kind == MCRZ:
-        lo_factor, hi_factor = np.exp(-0.5j * g.angle), np.exp(0.5j * g.angle)
+    # mcrz: ``Gate`` refuses every other kind.
+    lo_factor, hi_factor = np.exp(-0.5j * g.angle), np.exp(0.5j * g.angle)
 
-        def rotate():
-            np.multiply(lo, lo_factor, out=lo)
-            np.multiply(hi, hi_factor, out=hi)
+    def rotate():
+        np.multiply(lo, lo_factor, out=lo)
+        np.multiply(hi, hi_factor, out=hi)
 
-        return rotate
-    raise QmaxwellError(f"unknown gate kind {g.kind!r}")
-
-
-def apply_gate(psi: np.ndarray, g: Gate) -> np.ndarray:
-    """``g`` applied to a copy of the statevector ``psi``, which is left unchanged."""
-    out = np.array(psi, dtype=complex)
-    _bind(g, out, np.empty_like(out))()
-    return out
+    return rotate
 
 
 def simulate(circuit: Circuit, psi: np.ndarray, check_norm: bool = True) -> np.ndarray:

@@ -28,7 +28,9 @@ from .errors import ConfigError, GridError, QmaxwellError, RecoveryInfeasibleErr
 from .grid import FieldLayout, FieldState, component_name, pack_initial_condition, qubit_count
 from .lifting import RECOVERY_MODES, LiftedExactRunner, PRegister, hermitian_split
 from .measure import (
+    EXACT,
     ProbeRequest,
+    SignedReading,
     apply_offset,
     pipeline_state,
     remove_offset,
@@ -120,6 +122,11 @@ class RunConfig:
             raise ConfigError(f"bad auxiliary register: {e}") from e
         return self
 
+    def resolved(self, name: str):
+        """Setting ``name`` (``dt``, ``steps`` or ``snapshot_times``), the scenario's where unset."""
+        value = getattr(self, name)
+        return getattr(self.built_scenario, name) if value is None else value
+
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     """JSON config file with flag overrides; flags win."""
@@ -200,23 +207,13 @@ class _ProbeWriter:
     def close(self):
         self.fh.close()
 
-    def row(self, time, probe: ProbeRequest, value, magnitude, sign, shots):
-        self.fh.write(
-            f"{_fmt(time)},{probe.component.value},{probe.i},{probe.j},{probe.k},"
-            f"{_fmt(value)},{_fmt(magnitude)},{sign},{shots}\n"
-        )
-
-    def exact(self, time, state: FieldState):
-        """Rows read directly off a classical field."""
-        for p in self.probes:
-            v = state.at(p.component, p.i, p.j, p.k)
-            self.row(time, p, v, abs(v), 1 if v >= 0 else -1, "exact")
-
-    def signed(self, time, pipe, shots, rng):
-        """Rows measured on a statevector; an indeterminate sign gives value=nan, sign=0."""
-        for p in self.probes:
-            r = signed_field_at(p, pipe, shots, rng)
-            self.row(time, p, r.value, r.magnitude, r.sign, r.shots_used)
+    def rows(self, time, readings):
+        """One row per probe, from its reading; an indeterminate sign gives value=nan, sign=0."""
+        for p, r in zip(self.probes, readings):
+            self.fh.write(
+                f"{_fmt(time)},{p.component.value},{p.i},{p.j},{p.k},"
+                f"{_fmt(r.value)},{_fmt(r.magnitude)},{r.sign},{r.shots_used}\n"
+            )
 
 
 def _resolve_outdir(config: RunConfig) -> Path:
@@ -229,43 +226,44 @@ def _resolve_outdir(config: RunConfig) -> Path:
     return out
 
 
-def _weights(config: RunConfig, scenario) -> np.ndarray | None:
-    return symmetrizing_weights(scenario.spec) if config.weighted else None
+def _weights(config: RunConfig) -> np.ndarray | None:
+    return symmetrizing_weights(config.built_scenario.spec) if config.weighted else None
 
 
-# Each backend returns (step runner, its recovered field at the runner's time, probe reader).
-# The oracle and lifted-exact runners read their probes off the recovered field.
+def _write_json(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _read_exact(runner):
-    return lambda writer: writer.exact(runner.time, runner.recover())
+# Each backend takes the validated config, the generator and the step size, and returns
+# its step runner, the runner's recovered field at its time, a probe reader (probes ->
+# readings) or None to read probes off that field, and its own manifest entries.
 
 
-def _oracle_backend(config, scenario, a, u0, dt, probes, manifest):
-    runner = OracleRunner(a, u0, dt)
-    return runner, runner.recover, _read_exact(runner)
+def _oracle_backend(config, a, dt):
+    runner = OracleRunner(a, config.u0, dt)
+    return runner, runner.recover, None, {}
 
 
-def _lifted_exact_backend(config, scenario, a, u0, dt, probes, manifest):
-    pair = hermitian_split(a, _weights(config, scenario))
-    runner = LiftedExactRunner(pair, u0, config.register, dt)
-    manifest["skew_defect_used"] = skew_defect((pair.h1 + 1j * pair.h2).real)
-    return runner, runner.recover, _read_exact(runner)
+def _lifted_exact_backend(config, a, dt):
+    pair = hermitian_split(a, _weights(config))
+    runner = LiftedExactRunner(pair, config.u0, config.register, dt)
+    entries = {"skew_defect_used": skew_defect((pair.h1 + 1j * pair.h2).real)}
+    return runner, runner.recover, None, entries
 
 
-def _circuit_backend(config, scenario, a, u0, dt, probes, manifest):
+def _circuit_backend(config, a, dt):
     """Trotter runner; with probes it evolves ``u0 + c * unit offset`` and an oracle evolves the offset."""
+    scenario, u0, c = config.built_scenario, config.u0, config.offset_c
     reference = ProbeRequest(scenario.impulses[0][0], *scenario.center)
-    c = config.offset_c
-    sim_u0 = apply_offset(u0, reference.component, c) if probes else u0
-    runner = TrotterRunner.from_generator(
-        a, sim_u0, config.register, dt, _weights(config, scenario)
-    )
+    sim_u0 = apply_offset(u0, reference.component, c) if config.probes else u0
+    runner = TrotterRunner.from_generator(a, sim_u0, config.register, dt, _weights(config))
     h1_blocks, h2_blocks = runner.pair.blocks
-    manifest["blocks_per_step"] = {"skew_part": len(h2_blocks), "symmetric_part": len(h1_blocks)}
-    manifest["gate_stats_per_step"] = gate_stats(runner.step_circuit)
-    if not probes:
-        return runner, runner.recover, None
+    entries = {
+        "blocks_per_step": {"skew_part": len(h2_blocks), "symmetric_part": len(h1_blocks)},
+        "gate_stats_per_step": gate_stats(runner.step_circuit),
+    }
+    if not config.probes:
+        return runner, runner.recover, None, entries
     response = OracleRunner(a, unit_offset_state(u0.layout, reference.component), dt)
     rng = np.random.default_rng(config.seed)
 
@@ -273,11 +271,11 @@ def _circuit_backend(config, scenario, a, u0, dt, probes, manifest):
         response.advance(runner.steps_done - response.steps_done)
         return response.recover()
 
-    def read(writer):
+    def read(probes):
         pipe = pipeline_state(runner, c, offset_response(), reference)
-        writer.signed(runner.time, pipe, config.shots, rng)
+        return [signed_field_at(p, pipe, config.shots, rng) for p in probes]
 
-    return runner, lambda: remove_offset(runner.recover(), c, offset_response()), read
+    return runner, lambda: remove_offset(runner.recover(), c, offset_response()), read, entries
 
 
 BACKENDS = {
@@ -295,21 +293,13 @@ def execute_run(config: RunConfig) -> dict:
     """
     scenario = config.built_scenario
     spec = scenario.spec
-    dt = config.dt if config.dt is not None else scenario.dt
-    steps = config.steps if config.steps is not None else scenario.steps
-    snap_times = (
-        tuple(config.snapshot_times)
-        if config.snapshot_times is not None
-        else scenario.snapshot_times
-    )
+    dt, steps, snap_times = map(config.resolved, ("dt", "steps", "snapshot_times"))
     snap_steps = {grid_step(t, dt) for t in snap_times if t <= steps * dt + 1e-9}
     probes = _parse_probes(config.probes, FieldLayout(spec))
     probe_steps = set(range(0, steps + 1, config.probe_every)) if probes else set()
     outdir = _resolve_outdir(config)
 
     a = assemble_generator(spec)
-    u0 = config.u0
-
     manifest = {
         "scenario": scenario.name,
         "config": asdict(config),
@@ -327,9 +317,8 @@ def execute_run(config: RunConfig) -> dict:
         "skew_defect": skew_defect(a),
         "artifacts": [],
     }
-    runner, recover, read_probes = BACKENDS[config.backend](
-        config, scenario, a, u0, dt, probes, manifest
-    )
+    runner, recover, read, entries = BACKENDS[config.backend](config, a, dt)
+    manifest.update(entries)
 
     snapshots_written = []
     with closing(_ProbeWriter(outdir / "probes.csv", probes)) if probes else nullcontext() as writer:
@@ -338,13 +327,19 @@ def execute_run(config: RunConfig) -> dict:
             if s in snap_steps:
                 snapshots_written += _snapshot_files(outdir, recover(), runner.time)
             if s in probe_steps:
-                read_probes(writer)
+                if read is None:
+                    field = recover()
+                    readings = [
+                        SignedReading.decided(field.at(p.component, p.i, p.j, p.k), EXACT)
+                        for p in probes
+                    ]
+                else:
+                    readings = read(probes)
+                writer.rows(runner.time, readings)
     if probes:
         manifest["artifacts"].append("probes.csv")
     manifest["artifacts"].extend(sorted(set(snapshots_written)))
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(outdir / "manifest.json", manifest)
     return manifest
 
 
@@ -357,7 +352,7 @@ def execute_table(config: RunConfig, dts, times) -> Path:
         dts,
         times,
         config.register,
-        weights=_weights(config, scenario),
+        weights=_weights(config),
     )
     path = _resolve_outdir(config) / "error_table.csv"
     table.to_csv(path)
@@ -365,16 +360,13 @@ def execute_table(config: RunConfig, dts, times) -> Path:
 
 
 def execute_stats(config: RunConfig) -> dict:
-    scenario = config.built_scenario
-    dt = config.dt if config.dt is not None else scenario.dt
-    steps = config.steps if config.steps is not None else scenario.steps
-    pair = hermitian_split(assemble_generator(scenario.spec), _weights(config, scenario))
+    dt, steps = map(config.resolved, ("dt", "steps"))
+    pair = hermitian_split(assemble_generator(config.built_scenario.spec), _weights(config))
     c = emit_trotter_circuit(pair, config.register, steps, dt)
     stats = gate_stats(c)
     stats["steps"] = steps
     stats["n_qubits"] = c.n_qubits
-    outdir = _resolve_outdir(config)
-    (outdir / "gate_stats.json").write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
+    _write_json(_resolve_outdir(config) / "gate_stats.json", stats)
     return stats
 
 
@@ -443,7 +435,7 @@ def execute_compare(dir_a: str, dir_b: str, outdir: str | None) -> dict:
                 else:
                     worst = max(worst, diff)
             report["probes"] = {"linf": worst, "indeterminate": indeterminate}
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "report.json", report)
     return report
 
 

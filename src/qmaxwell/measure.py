@@ -64,6 +64,11 @@ class SignedReading:
         if self.magnitude < 0:  # nan: an indeterminate reading whose magnitude is unknown
             raise QmaxwellError(f"reading magnitude {self.magnitude} is negative")
 
+    @classmethod
+    def decided(cls, value: float, shots_used: int | str) -> "SignedReading":
+        """The reading of a known value: magnitude ``|value|``, sign +1 if ``value >= 0``, else -1."""
+        return cls(abs(value), 1 if value >= 0 else -1, value, shots_used)
+
 
 def offset_bound(u0: FieldState) -> float:
     """Certified bound on any component's excursion: the initial 2-norm."""
@@ -246,10 +251,4 @@ def signed_field_at(
                 magnitude = est.value if correction == 0 else math.nan
                 return SignedReading(magnitude, 0, math.nan, est.shots_used)
             sign = 1  # zero hits and no correction: the reading is 0 whatever the sign
-    value = sign * est.value - correction
-    return SignedReading(
-        magnitude=abs(value),
-        sign=1 if value >= 0 else -1,
-        value=value,
-        shots_used=est.shots_used,
-    )
+    return SignedReading.decided(sign * est.value - correction, est.shots_used)

@@ -111,18 +111,21 @@ def ancilla_prep_gates(reg: PRegister, n_sys: int) -> list[Gate]:
     return amplitude_prep_gates(amps, n_sys)
 
 
+def step_circuit(pair: HermitianPair, reg: PRegister, dt: float) -> Circuit:
+    """One product step of size ``dt`` on the joint register: the system, then the auxiliary qubits."""
+    n_sys = int(math.log2(pair.dim))
+    return Circuit(n_sys + reg.n_a, tuple(step_gates(*pair.blocks, reg, n_sys, dt)))
+
+
 def emit_trotter_circuit(pair: HermitianPair, reg: PRegister, steps: int, dt: float) -> Circuit:
-    """Full circuit: auxiliary profile prep, then ``steps`` product steps of size ``dt``.
+    """Full circuit: auxiliary profile prep, then ``steps`` copies of :func:`step_circuit`.
 
     With ``steps=0`` the circuit only prepares the lifted initial state
     (applied to the system register's own initial state on the low qubits).
     """
-    n_sys = int(math.log2(pair.dim))
-    gates = ancilla_prep_gates(reg, n_sys)
-    step = step_gates(*pair.blocks, reg, n_sys, dt)
-    for _ in range(steps):
-        gates.extend(step)
-    return Circuit(n_sys + reg.n_a, tuple(gates))
+    step = step_circuit(pair, reg, dt)
+    prep = ancilla_prep_gates(reg, step.n_qubits - reg.n_a)
+    return Circuit(step.n_qubits, tuple(prep) + step.gates * steps)
 
 
 class TrotterRunner(LiftedRunner):
@@ -136,8 +139,7 @@ class TrotterRunner(LiftedRunner):
 
     def __init__(self, pair: HermitianPair, u0: FieldState, reg: PRegister, dt: float):
         super().__init__(pair, u0, reg, dt)
-        n_sys = int(math.log2(pair.dim))
-        self.step_circuit = Circuit(n_sys + reg.n_a, tuple(step_gates(*pair.blocks, reg, n_sys, dt)))
+        self.step_circuit = step_circuit(pair, reg, dt)
 
     @staticmethod
     def from_generator(

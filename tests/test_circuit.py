@@ -13,7 +13,6 @@ from qmaxwell.circuit import (
     X,
     Circuit,
     Gate,
-    apply_gate,
     gate_stats,
     lowered_gates,
     mcrz_lowering,
@@ -139,7 +138,7 @@ class TestGateBasics:
         rng = np.random.default_rng(7)
         psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         before = psi.tobytes()
-        out = apply_gate(psi, g)
+        out = simulate(Circuit(3, (g,)), psi)
         assert psi.tobytes() == before
         assert not np.shares_memory(out, psi)
 
@@ -359,12 +358,17 @@ class TestStats:
         lambda: Gate(FOURIER, ()),
         lambda: Gate(FOURIER, (0, 2)),
         lambda: Gate(FOURIER, (1, 0)),
+        lambda: Gate(CNOT, (0, 1), polarities=(0,)),
+        lambda: Gate(MCRZ, (0, 1), 0.2, (1,), inverse=True),
+        lambda: Gate(X, (0,), angle=0.3),
+        lambda: Gate(FOURIER, (0, 1), 0.5),
     ],
     ids=[
         "unknown-kind", "too-few-polarities", "state-shape", "lower-non-mcrz",
         "polarity-not-a-bit", "cnot-one-operand", "cnot-three-operands", "x-two-operands",
         "superpose-no-operand", "phase-no-angle", "mcrz-no-angle", "mcrz-no-operand",
-        "fourier-no-operand", "fourier-gap", "fourier-descending",
+        "fourier-no-operand", "fourier-gap", "fourier-descending", "cnot-polarity",
+        "mcrz-inverse", "x-angle", "fourier-angle",
     ],
 )
 def test_typed_refusals(build):

@@ -173,6 +173,21 @@ class TestRun:
         assert main([*argv, *probes, "--outdir", str(tmp_path / "run")]) == 0
         assert calls == [(1024, 1024)]
 
+    def test_circuit_probe_run_exponentiates_nothing(self, tmp_path, monkeypatch):
+        # The probe offset's unit response is a fixed point of the exact flow.
+        import qmaxwell.oracle
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the offset response was exponentiated")
+
+        monkeypatch.setattr(qmaxwell.oracle, "expm", refused)
+        monkeypatch.setattr(qmaxwell.oracle, "expm_multiply", refused)
+        argv = ["run", "--scenario", "2d-scatterer", "--steps", "3", "--outdir", str(tmp_path / "run")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the default offset equals the certified bound
+            assert main([*argv, "--probes", "Ez:1:1", "Hx:5:2", "Hy:1:6"]) == 0
+        assert len((tmp_path / "run" / "probes.csv").read_text().splitlines()) == 1 + 4 * 3
+
     def test_circuit_probes_match_snapshots(self, tmp_path):
         # With probes the circuit evolves u0 + c * offset; snapshots must not carry the offset.
         probes = ["Ez:4:4", "Ez:3:2", "Hx:3:5", "Hy:6:2", "Ez:1:13"]

@@ -18,6 +18,7 @@ from qmaxwell.oracle import (
     snapshot,
     trotter_error_table,
 )
+from qmaxwell.scenarios import build_scenario
 
 from helpers import normalized_cross_correlation, rk4_evolution
 
@@ -241,14 +242,23 @@ class TestOracleRunner:
             direct = exact_evolution(a, u0, s * 0.1)
             assert np.max(np.abs(state.values - direct.values)) <= 1e-12
 
-    def test_annihilated_state_is_fixed(self):
+    @pytest.mark.parametrize(
+        "name, nx",
+        [("2d-empty", 4), ("2d-empty", None), ("2d-scatterer", 8), ("2d-scatterer", None),
+         ("3d-empty", 4), ("3d-empty", None)],
+    )
+    def test_annihilated_state_is_fixed(self, name, nx):
+        # The probe offset's unit response: the reference component at 1 on
+        # every active sample is static under PMC walls, so a probe run's
+        # offset oracle builds no exponential.
         from qmaxwell.measure import unit_offset_state
 
-        spec = GridSpec(nx=4, ny=4, dim=2)
-        a = assemble_generator(spec)
-        ones = unit_offset_state(FieldLayout(spec), Component.EZ)
+        scenario = build_scenario(name, nx)
+        a = assemble_generator(scenario.spec)
+        ones = unit_offset_state(FieldLayout(scenario.spec), scenario.impulses[0][0])
         assert not (a.tocsr() @ ones.values).any()
         runner = OracleRunner(a, ones, 0.1)
+        assert runner.fixed
         runner.advance(7)
         assert runner.recover().values is ones.values
         assert runner.time == pytest.approx(0.7)

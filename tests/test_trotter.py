@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from qmaxwell.bell import compile_blocks
-from qmaxwell.circuit import FOURIER, MCRZ, Circuit, apply_gate, gate_stats, simulate
+from qmaxwell.circuit import FOURIER, MCRZ, Circuit, gate_stats, simulate
 from qmaxwell.errors import ConfigError
 from qmaxwell.grid import Component, GridSpec, pack_initial_condition
 from qmaxwell.lifting import (
@@ -271,15 +271,17 @@ class TestChunkedStepping:
         ],
     )
     def test_chunks_and_gate_loop_give_the_same_bytes(self, name, nx, weighted, n_a):
-        # One advance(12), twelve advance(1) and a per-gate apply_gate loop.
+        # One advance(12), twelve advance(1) and a loop over one-gate circuits.
         whole, stepped = pinned_runner(name, nx, weighted, n_a), pinned_runner(name, nx, weighted, n_a)
         psi = whole.psi
         whole.advance(12)
         for _ in range(12):
             stepped.advance(1)
+        step = stepped.step_circuit
+        singles = [Circuit(step.n_qubits, (g,)) for g in step.gates]
         for _ in range(12):
-            for g in stepped.step_circuit.gates:
-                psi = apply_gate(psi, g)
+            for single in singles:
+                psi = simulate(single, psi)
         assert whole.steps_done == stepped.steps_done == 12
         assert whole.psi.tobytes() == stepped.psi.tobytes() == psi.tobytes()
 
@@ -327,6 +329,7 @@ class TestEmittedCircuit:
         runner = TrotterRunner.from_generator(a, u0, reg, dt)
         runner.advance(steps)
         c = emit_trotter_circuit(runner.pair, reg, steps, dt)
+        assert c.gates == tuple(ancilla_prep_gates(reg, c.n_qubits - reg.n_a)) + runner.step_circuit.gates * steps
         sys_state = u0.values / np.linalg.norm(u0.values)
         psi0 = np.zeros(1 << c.n_qubits, dtype=complex)
         psi0[: len(sys_state)] = sys_state
